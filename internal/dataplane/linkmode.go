@@ -18,17 +18,50 @@ type fullLink struct {
 	port uint64
 	dst  int32
 	path *link.FullPath
+	// pos is the link's slot in fullState.queue, or -1 while the link is
+	// not queued (its wire is empty, or runFull is draining it).
+	pos int32
+}
+
+// linkEvent is one entry of the link event queue: link li holds frames
+// whose earliest arrival is at, due in the given pass of that instant.
+type linkEvent struct {
+	at   link.Time
+	pass uint32
+	li   int32
+}
+
+// before is the event order (arrival, pass, link index): it reproduces a
+// scan of every link in index order, once per pass, where a frame sent
+// at the current instant onto a link the scan has already passed waits
+// for the next pass.
+func (a linkEvent) before(b linkEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.pass != b.pass {
+		return a.pass < b.pass
+	}
+	return a.li < b.li
 }
 
 // fullState is the engine's LinkFull machinery: one FullPath per directed
-// link, an arena of in-flight packets (Frame.Seq carries the arena slot,
-// so no per-hop boxing allocates), and the virtual clock.
+// link, the event queue over links with frames on the wire, an arena of
+// in-flight packets (Frame.Seq carries the arena slot, so no per-hop
+// boxing allocates), and the virtual clock.
 type fullState struct {
-	links  []*fullLink
+	links  []fullLink
 	byPort [][]int32 // node index → port → index into links, or -1
-	arena  []Packet
-	free   []int32
-	now    link.Time
+	// queue is an indexed binary min-heap of the links with frames on
+	// the wire, in linkEvent order.
+	queue []linkEvent
+	arena []Packet
+	free  []int32
+	now   link.Time
+	// pass numbers the passes of the current instant from 0; draining is
+	// the link runFull is emptying, or -1.
+	pass     uint32
+	draining int32
 	// inFlight counts packets currently on a wire (arena occupancy).
 	inFlight int
 }
@@ -68,7 +101,7 @@ func linkSeed(engineSeed int64, from, to string) int64 {
 // newFullState builds one FullPath per directed link of the forwarding
 // plane, including egress links toward delivery endpoints.
 func newFullState(e *Engine) (*fullState, error) {
-	fs := &fullState{byPort: make([][]int32, len(e.nodes))}
+	fs := &fullState{byPort: make([][]int32, len(e.nodes)), draining: -1}
 	for i, ns := range e.nodes {
 		ports := make([]int32, len(ns.next))
 		for port := range ports {
@@ -84,16 +117,35 @@ func newFullState(e *Engine) (*fullState, error) {
 			}
 			cfg := resolveLinkConfig(e.cfg.Link, tl.Attrs, linkSeed(e.cfg.Seed, ns.name, ns.neighbor[port]))
 			ports[port] = int32(len(fs.links))
-			fs.links = append(fs.links, &fullLink{
+			fs.links = append(fs.links, fullLink{
 				src:  int32(i),
 				port: uint64(port),
 				dst:  ns.next[port],
 				path: link.NewFullPath(cfg),
+				pos:  -1,
 			})
 		}
 		fs.byPort[i] = ports
 	}
 	return fs, nil
+}
+
+// reset rewinds every link in place (see link.FullPath.Reset) and
+// empties the event queue and the arena, keeping their capacity, so the
+// next run replays a fresh engine's.
+func (fs *fullState) reset() {
+	for i := range fs.links {
+		fs.links[i].path.Reset()
+		fs.links[i].pos = -1
+	}
+	fs.queue = fs.queue[:0]
+	clear(fs.arena)
+	fs.arena = fs.arena[:0]
+	fs.free = fs.free[:0]
+	fs.now = 0
+	fs.pass = 0
+	fs.draining = -1
+	fs.inFlight = 0
 }
 
 // alloc stores a packet in the arena and returns its slot.
@@ -112,6 +164,122 @@ func (fs *fullState) alloc(pkt Packet) int32 {
 func (fs *fullState) release(slot int32) {
 	fs.arena[slot] = Packet{}
 	fs.free = append(fs.free, slot)
+}
+
+// schedule keys link li after a frame was accepted onto it. A link being
+// drained is keyed when its drain ends, not here. An arrival at the
+// current instant joins the current pass if the link comes at or after
+// the one being drained, and the next pass if it comes before; a later
+// arrival opens pass 0 of its instant. A queued link only ever moves
+// earlier: its head can only have moved earlier.
+func (fs *fullState) schedule(li int32) {
+	if li == fs.draining {
+		return
+	}
+	l := &fs.links[li]
+	at, _ := l.path.Next()
+	ev := linkEvent{at: at, li: li}
+	if at <= fs.now {
+		ev.pass = fs.pass
+		if li < fs.draining {
+			ev.pass++
+		}
+	}
+	if l.pos < 0 {
+		fs.push(ev)
+	} else if ev.before(fs.queue[l.pos]) {
+		fs.queue[l.pos] = ev
+		fs.up(int(l.pos))
+	}
+}
+
+// requeue keys link li after its drain under its next head, if frames
+// remain on its wire; that head lies after the current instant, so in
+// its pass 0.
+func (fs *fullState) requeue(li int32) {
+	if at, ok := fs.links[li].path.Next(); ok {
+		fs.push(linkEvent{at: at, li: li})
+	}
+}
+
+// push inserts the event of an unqueued link.
+func (fs *fullState) push(ev linkEvent) {
+	fs.links[ev.li].pos = int32(len(fs.queue))
+	fs.queue = append(fs.queue, ev)
+	fs.up(len(fs.queue) - 1)
+}
+
+// pop removes the earliest event; the queue must be non-empty.
+func (fs *fullState) pop() {
+	q := fs.queue
+	fs.links[q[0].li].pos = -1
+	n := len(q) - 1
+	if n > 0 {
+		q[0] = q[n]
+		fs.links[q[0].li].pos = 0
+	}
+	fs.queue = q[:n]
+	if n > 1 {
+		fs.down(0)
+	}
+}
+
+// up restores the heap order from slot i toward the root.
+func (fs *fullState) up(i int) {
+	q := fs.queue
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		fs.links[q[i].li].pos = int32(i)
+		i = parent
+	}
+	q[i] = ev
+	fs.links[ev.li].pos = int32(i)
+}
+
+// down restores the heap order from slot i toward the leaves.
+func (fs *fullState) down(i int) {
+	q := fs.queue
+	n := len(q)
+	ev := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		fs.links[q[i].li].pos = int32(i)
+		i = c
+	}
+	q[i] = ev
+	fs.links[ev.li].pos = int32(i)
+}
+
+// rewindPasses renumbers every queued event to pass 0 — the start of a
+// Run, which after a canceled or failed run must first sweep every link
+// due at the current instant in index order, however many passes of
+// that instant the interrupted run had begun.
+func (fs *fullState) rewindPasses() {
+	fs.pass = 0
+	if len(fs.queue) == 0 {
+		return
+	}
+	for i := range fs.queue {
+		fs.queue[i].pass = 0
+	}
+	for i := len(fs.queue)/2 - 1; i >= 0; i-- {
+		fs.down(i)
+	}
 }
 
 // LinkStats returns the full-tier counters of the directed link from→to.
@@ -145,52 +313,57 @@ func (e *Engine) VirtualNow() link.Time {
 // runFull is the LinkFull execution loop. Freshly injected packets are
 // forwarded at the current virtual time; every inter-switch (and egress)
 // handoff goes through that link's FullPath, so frames serialize, queue,
-// propagate, and may be lost. The loop then repeatedly advances the clock
-// to the earliest pending arrival and processes every frame due, in a
-// fixed link-scan order — fully deterministic for a given Config.Seed and
-// inject schedule. Stats.Rounds counts event batches here.
+// propagate, and may be lost. The loop then takes links off the link
+// event queue in (head arrival, pass, link index) order and drains every
+// frame due on each at its arrival instant. A pass is one sweep of the
+// links due at an instant in index order; a zero-latency frame sent onto
+// a link the sweep has already passed is due in the next pass of the
+// same instant. Execution is fully deterministic for a given Config.Seed
+// and inject schedule. Stats.Rounds counts passes here.
 func (e *Engine) runFull(ctx context.Context) (Stats, error) {
 	fs := e.full
+	fs.rewindPasses()
 	for i, ns := range e.nodes {
-		batch := ns.queue
-		ns.queue = nil
-		for _, pkt := range batch {
+		for _, pkt := range ns.queue {
 			e.forwardFull(i, ns, pkt, fs.now)
 		}
+		clear(ns.queue)
+		ns.queue = ns.queue[:0]
 	}
 	e.pending = 0
-	for fs.inFlight > 0 {
-		select {
-		case <-ctx.Done():
-			return e.stats, ctx.Err()
-		default:
-		}
-		e.stats.Rounds++
-		var next link.Time
-		found := false
-		for _, l := range fs.links {
-			if t, ok := l.path.Next(); ok && (!found || t < next) {
-				next, found = t, true
+	inPass := false
+	for len(fs.queue) > 0 {
+		ev := fs.queue[0]
+		if !inPass || ev.at != fs.now || ev.pass != fs.pass {
+			select {
+			case <-ctx.Done():
+				return e.stats, ctx.Err()
+			default:
 			}
+			e.stats.Rounds++
+			inPass = true
+			fs.now, fs.pass = ev.at, ev.pass
 		}
-		if !found {
-			break
-		}
-		if next > fs.now {
-			fs.now = next
-		}
-		for _, l := range fs.links {
-			for {
-				if n := e.inFlight(); n > e.cfg.MaxInFlight {
-					return e.stats, e.errCap(n)
-				}
-				f, ok := l.path.Pop(fs.now)
-				if !ok {
-					break
-				}
-				e.arriveFull(l, f)
+		fs.pop()
+		fs.draining = ev.li
+		l := &fs.links[ev.li]
+		for {
+			if n := e.inFlight(); n > e.cfg.MaxInFlight {
+				fs.draining = -1
+				fs.requeue(ev.li)
+				return e.stats, e.errCap(n)
 			}
+			f, ok := l.path.Pop(fs.now)
+			if !ok {
+				break
+			}
+			e.arriveFull(l, f)
 		}
+		fs.draining = -1
+		fs.requeue(ev.li)
+	}
+	if fs.inFlight > 0 {
+		return e.stats, fmt.Errorf("dataplane: %d packets counted on the wire but no link holds a frame", fs.inFlight)
 	}
 	return e.stats, nil
 }
@@ -248,7 +421,8 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		pkt.Path = path
 	}
 	fs := e.full
-	l := fs.links[fs.byPort[idx][port]]
+	li := fs.byPort[idx][port]
+	l := &fs.links[li]
 	slot := fs.alloc(pkt)
 	switch l.path.Send(now, link.Frame{Seq: uint64(slot), Size: pkt.Size}) {
 	case link.DropQueue:
@@ -263,6 +437,7 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port, TTL: pkt.TTL, Drop: DropLoss})
 	case link.Accepted:
 		fs.inFlight++
+		fs.schedule(li)
 		if l.dst >= 0 {
 			ns.stats.Tx++
 			ns.stats.Egress[port]++

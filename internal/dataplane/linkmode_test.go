@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/link"
@@ -302,5 +303,26 @@ func TestFullModeContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := e.Run(ctx); err != context.Canceled {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestFullModeConservationViolation: a packet counted on a wire that no
+// link holds breaks the engine's conservation invariant. Run must report
+// it rather than return success with the packet unaccounted for.
+func TestFullModeConservationViolation(t *testing.T) {
+	e := labEngine(t, Config{LinkMode: LinkFull, Link: link.FullConfig{RateMbps: -1, DelayMs: 1}})
+	r, err := e.UnicastRoute(topo.TunnelPath1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InjectBatch(r.Inject, r.NewPackets(5, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e.full.inFlight++ // a phantom packet: counted, on no wire
+	if _, err := e.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "no link holds a frame") {
+		t.Fatalf("Run with a phantom in-flight packet returned %v, want a conservation error", err)
 	}
 }

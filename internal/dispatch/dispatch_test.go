@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -121,43 +122,79 @@ func TestDispatchFixedShardsMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDispatchEventsMultiplexed: every shard's progress stream arrives
-// through the one serialized callback, stamped with its backend, and
-// every scenario's start/done pair is present.
+// TestDispatchEventsMultiplexed: every job's progress stream arrives
+// through the one serialized callback, stamped with the backend that ran
+// the job, and every scenario's start/done pair is present. Work
+// stealing promises no backend a unit, so the steal run checks each
+// event's stamp against the backend its unit records; the fixed-shard
+// run, which hands each of the three live backends exactly one shard,
+// pins that three streams are multiplexed.
 func TestDispatchEventsMultiplexed(t *testing.T) {
 	cluster := newCluster(t, 3)
-	var events []Event
-	_, err := Run(ctxT(t), cluster.Addrs(), Options{
-		Spec:    labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-		OnEvent: func(ev Event) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := map[string]string{} // scenario -> backend
-	done := map[string]bool{}
-	backends := map[string]bool{}
-	for _, ev := range events {
-		if ev.Backend == "" {
-			t.Fatalf("event without backend stamp: %+v", ev)
+	run := func(fixed bool) (*Result, []Event) {
+		t.Helper()
+		var events []Event
+		res, err := Run(ctxT(t), cluster.Addrs(), Options{
+			Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
+			FixedShards: fixed,
+			OnEvent:     func(ev Event) { events = append(events, ev) },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		backends[ev.Backend] = true
-		switch ev.Event.Phase {
-		case "start":
-			started[ev.Event.Scenario] = ev.Backend
-		case "done":
-			if ev.Event.Scenario != "" {
-				done[ev.Event.Scenario] = true
+		return res, events
+	}
+	// check verifies the stream against owner, the backend recorded for
+	// each shard slot, and returns the set of backends events came from.
+	check := func(mode string, events []Event, owner map[scenario.Shard]string) map[string]bool {
+		t.Helper()
+		started := map[string]bool{}
+		done := map[string]bool{}
+		backends := map[string]bool{}
+		for _, ev := range events {
+			want, ok := owner[ev.Shard]
+			switch {
+			case !ok:
+				t.Fatalf("%s: event for unknown slot %+v: %+v", mode, ev.Shard, ev)
+			case ev.Backend != want:
+				t.Fatalf("%s: event %+v stamped %q, but slot %+v ran on %q", mode, ev.Event, ev.Backend, ev.Shard, want)
+			}
+			backends[ev.Backend] = true
+			switch ev.Event.Phase {
+			case "start":
+				started[ev.Event.Scenario] = true
+			case "done":
+				if ev.Event.Scenario != "" {
+					done[ev.Event.Scenario] = true
+				}
 			}
 		}
-	}
-	for _, name := range fixtureNames {
-		if started[name] == "" || !done[name] {
-			t.Errorf("scenario %s missing start/done in multiplexed stream", name)
+		for _, name := range fixtureNames {
+			if !started[name] || !done[name] {
+				t.Errorf("%s: scenario %s missing start/done in multiplexed stream", mode, name)
+			}
 		}
+		return backends
 	}
-	if len(backends) != 3 {
-		t.Errorf("events came from %d backends, want 3", len(backends))
+
+	res, events := run(false)
+	owner := map[scenario.Shard]string{}
+	units := map[string]bool{}
+	for _, u := range res.Units {
+		owner[scenario.Shard{Index: u.Index, Count: len(res.Names)}] = u.Backend
+		units[u.Backend] = true
+	}
+	if got := check("steal", events, owner); !reflect.DeepEqual(got, units) {
+		t.Errorf("steal: events came from backends %v, units ran on %v", got, units)
+	}
+
+	res, events = run(true)
+	owner = map[scenario.Shard]string{}
+	for _, sh := range res.Shards {
+		owner[sh.Shard] = sh.Backend
+	}
+	if got := check("fixed", events, owner); len(got) != 3 {
+		t.Errorf("fixed: events came from %d backends, want 3 (one shard each)", len(got))
 	}
 }
 

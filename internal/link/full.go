@@ -1,9 +1,6 @@
 package link
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // FullConfig tunes a FullPath link.
 type FullConfig struct {
@@ -28,31 +25,63 @@ type FullConfig struct {
 	Seed int64
 }
 
-// inflight is one frame on the wire, keyed for the arrival heap.
+// inflight is one frame on the wire, keyed for the arrival heap by
+// (frame.Arrival, order).
 type inflight struct {
-	at    Time
 	order uint64 // insertion tie-break: equal arrivals deliver in send order
 	frame Frame
 }
 
-// arrivalHeap is a min-heap over (arrival time, insertion order).
+// arrivalHeap is a min-heap over (arrival time, insertion order), with
+// typed push/pop so no frame is boxed on its way through the link.
 type arrivalHeap []inflight
 
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less orders arrivals by time, then by send order.
+func (h arrivalHeap) less(i, j int) bool {
+	if a, b := h[i].frame.Arrival, h[j].frame.Arrival; a != b {
+		return a < b
 	}
 	return h[i].order < h[j].order
 }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(inflight)) }
-func (h *arrivalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push inserts it and restores the heap order.
+func (h *arrivalHeap) push(it inflight) {
+	*h = append(*h, it)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !a.less(i, parent) {
+			break
+		}
+		a[i], a[parent] = a[parent], a[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest arrival; the heap must be
+// non-empty.
+func (h *arrivalHeap) pop() inflight {
+	a := *h
+	n := len(a) - 1
+	top := a[0]
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < n && a.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < n && a.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	*h = a
+	return top
 }
 
 // FullPath is the full tier: a per-link state machine modeling
@@ -71,15 +100,50 @@ type FullPath struct {
 	order      uint64
 	maxArrival Time
 	stats      Stats
+	maxFlight  int // most frames on the wire at once since the last Reset
+	// sent is set by the first Send after construction or Reset: only a
+	// link offered frames has drawn from rng.
+	sent bool
 }
 
-// NewFullPath builds a full-tier link.
+// NewFullPath builds a full-tier link. Its random stream is seeded on
+// the first Send, so a link that never carries a frame costs no
+// generator state.
 func NewFullPath(cfg FullConfig) *FullPath {
-	return &FullPath{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		loss: lossState{cfg: cfg.Loss},
+	return &FullPath{cfg: cfg, loss: lossState{cfg: cfg.Loss}}
+}
+
+// Reset rewinds the link to its freshly built state — empty queue and
+// wire, zero counters, loss model in its good state, random stream back
+// at the start of the config's Seed — so it replays a Send schedule
+// exactly as a new link would. Each buffer is kept, emptied, when the
+// run just ended filled at least half of it, so a link under steady
+// traffic replays without reallocating; a buffer grown for a burst the
+// last run did not see is released.
+func (p *FullPath) Reset() {
+	if p.sent {
+		p.rng.Seed(p.cfg.Seed)
 	}
+	p.txEnds = reuse(p.txEnds, p.stats.MaxQueueDepth)
+	p.flight = reuse(p.flight, p.maxFlight)
+	p.stats = Stats{queueDelaysMs: reuse(p.stats.queueDelaysMs, len(p.stats.queueDelaysMs))}
+	p.loss = lossState{cfg: p.cfg.Loss}
+	p.lastTxEnd = 0
+	p.order = 0
+	p.maxArrival = 0
+	p.maxFlight = 0
+	p.sent = false
+}
+
+// reuse returns buf emptied if used, its peak length over the last run,
+// fills at least half of it, and nil otherwise. Append grows a full
+// slice to about twice its length, so a buffer the run had to grow is
+// normally kept.
+func reuse[T any](buf []T, used int) []T {
+	if 2*used < cap(buf) {
+		return nil
+	}
+	return buf[:0]
 }
 
 // Config returns the link's configuration.
@@ -96,6 +160,10 @@ func (p *FullPath) Config() FullConfig { return p.cfg }
 // is precisely why loss hurts a congestion-limited sender smoothly
 // instead of catastrophically.
 func (p *FullPath) Send(now Time, f Frame) Verdict {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.cfg.Seed))
+	}
+	p.sent = true
 	lost := p.loss.drop(p.rng)
 
 	// Prune frames that finished serializing; what remains is the queue.
@@ -144,7 +212,10 @@ func (p *FullPath) Send(now Time, f Frame) Verdict {
 		p.maxArrival = arrival
 	}
 	f.Arrival = arrival
-	heap.Push(&p.flight, inflight{at: arrival, order: p.order, frame: f})
+	p.flight.push(inflight{order: p.order, frame: f})
+	if n := len(p.flight); n > p.maxFlight {
+		p.maxFlight = n
+	}
 	p.order++
 	p.stats.Sent++
 	return Accepted
@@ -155,17 +226,17 @@ func (p *FullPath) Next() (Time, bool) {
 	if len(p.flight) == 0 {
 		return 0, false
 	}
-	return p.flight[0].at, true
+	return p.flight[0].frame.Arrival, true
 }
 
 // Pop removes and returns the earliest pending frame if it has arrived by
 // now — the single-frame form the dataplane engine's event loop uses to
 // avoid slice churn.
 func (p *FullPath) Pop(now Time) (Frame, bool) {
-	if len(p.flight) == 0 || p.flight[0].at > now {
+	if len(p.flight) == 0 || p.flight[0].frame.Arrival > now {
 		return Frame{}, false
 	}
-	it := heap.Pop(&p.flight).(inflight)
+	it := p.flight.pop()
 	p.stats.Delivered++
 	return it.frame, true
 }
@@ -184,5 +255,11 @@ func (p *FullPath) Recv(now Time, buf []Frame) []Frame {
 // Pending counts frames accepted but not yet received.
 func (p *FullPath) Pending() int { return len(p.flight) }
 
-// Stats returns a snapshot of the link counters.
-func (p *FullPath) Stats() Stats { return p.stats }
+// Stats returns a snapshot of the link counters. The snapshot owns its
+// queueing-delay samples: neither later Sends nor a Reset, which reuses
+// the sample buffer, can change it.
+func (p *FullPath) Stats() Stats {
+	s := p.stats
+	s.queueDelaysMs = append([]float64(nil), p.stats.queueDelaysMs...)
+	return s
+}

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -235,6 +236,113 @@ func TestFullPathDeterministicSchedule(t *testing.T) {
 		if outA[i] != outB[i] {
 			t.Fatalf("frame %d diverges: %+v vs %+v", i, outA[i], outB[i])
 		}
+	}
+}
+
+// fullRun is everything a FullPath produces for one Send schedule.
+type fullRun struct {
+	verdicts []Verdict
+	frames   []Frame
+	stats    Stats
+}
+
+// play offers n frames of varying size, one every gap, receiving as it
+// goes, then drains the wire.
+func play(p *FullPath, n int, gap Time) fullRun {
+	var r fullRun
+	for i := 0; i < n; i++ {
+		now := Time(i) * gap
+		r.verdicts = append(r.verdicts, p.Send(now, Frame{Seq: uint64(i), Size: 200 + 100*(i%13)}))
+		r.frames = p.Recv(now, r.frames)
+	}
+	r.frames = p.Recv(Ms(1e6), r.frames)
+	r.stats = p.Stats()
+	return r
+}
+
+func TestFullPathResetReplays(t *testing.T) {
+	cfg := FullConfig{RateMbps: 10, DelayMs: 3, QueuePkts: 8,
+		Loss: GilbertElliott(0.05, 0.3, 0.01, 0.5), ReorderProb: 0.1, ReorderWindowMs: 2, Seed: 5}
+	fresh := play(NewFullPath(cfg), 1500, Ms(0.2))
+	p := NewFullPath(cfg)
+	// A different, congested history to rewind from, stopped with
+	// frames still on the wire.
+	for i := 0; i < 700; i++ {
+		p.Send(Time(i)*Ms(0.05), Frame{Seq: uint64(i), Size: 1500})
+	}
+	p.Reset()
+	if got := play(p, 1500, Ms(0.2)); !reflect.DeepEqual(got, fresh) {
+		t.Fatal("a reset link diverges from a fresh one on the same schedule")
+	}
+}
+
+func TestFullPathResetKeepsCapacity(t *testing.T) {
+	p := NewFullPath(FullConfig{RateMbps: 10, DelayMs: 3, QueuePkts: 64,
+		Loss: Bernoulli(0.05), ReorderProb: 0.1, ReorderWindowMs: 2, Seed: 9})
+	replay := func() {
+		p.Reset()
+		for i := 0; i < 500; i++ {
+			now := Time(i) * Ms(0.2)
+			p.Send(now, Frame{Seq: uint64(i), Size: 1000})
+			for {
+				if _, ok := p.Pop(now); !ok {
+					break
+				}
+			}
+		}
+	}
+	replay()
+	if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+		t.Fatalf("replay after Reset allocates %v times, want 0", allocs)
+	}
+}
+
+// TestFullPathResetReleasesBurstBuffers: a buffer grown for a burst is
+// kept across the Reset right after it (that run filled it), and
+// released by the first Reset after a run that used under half of it.
+func TestFullPathResetReleasesBurstBuffers(t *testing.T) {
+	p := NewFullPath(FullConfig{RateMbps: 8, DelayMs: 1, Seed: 3})
+	for i := 0; i < 300; i++ {
+		p.Send(0, Frame{Seq: uint64(i), Size: 1000})
+	}
+	grown := cap(p.flight)
+	p.Reset()
+	if cap(p.flight) != grown {
+		t.Fatalf("Reset after the burst run: flight capacity %d, want the %d it grew to", cap(p.flight), grown)
+	}
+	for i := 0; i < 10; i++ {
+		p.Send(Time(i)*Ms(5), Frame{Seq: uint64(i), Size: 1000})
+	}
+	p.Reset()
+	if c := cap(p.flight) + cap(p.txEnds) + cap(p.stats.queueDelaysMs); c != 0 {
+		t.Fatalf("Reset after a light run kept %d slots of burst-sized buffers, want them released", c)
+	}
+}
+
+// TestFullPathStatsSnapshotSurvivesReset: Reset reuses the sample
+// buffer, so a snapshot taken before it must own its samples.
+func TestFullPathStatsSnapshotSurvivesReset(t *testing.T) {
+	p := NewFullPath(FullConfig{RateMbps: 8})
+	for i := 0; i < 20; i++ {
+		p.Send(0, Frame{Seq: uint64(i), Size: 1000}) // waits 0, 1, ..., 19 ms
+	}
+	snap := p.Stats()
+	p99, max := snap.QueueDelayP99Ms(), snap.QueueDelayMaxMs()
+	if max < 18.9 {
+		t.Fatalf("burst max queue delay %v ms, want ~19", max)
+	}
+	p.Reset()
+	for i := 0; i < 40; i++ {
+		now := Time(i) * Ms(10) // spaced out: nothing ever waits
+		p.Send(now, Frame{Seq: uint64(i), Size: 1000})
+		p.Recv(now, nil)
+	}
+	if got := p.Stats().QueueDelayMaxMs(); got != 0 {
+		t.Fatalf("spaced replay max queue delay %v ms, want 0", got)
+	}
+	if snap.QueueDelayP99Ms() != p99 || snap.QueueDelayMaxMs() != max {
+		t.Fatalf("pre-Reset snapshot changed: p99 %v -> %v, max %v -> %v",
+			p99, snap.QueueDelayP99Ms(), max, snap.QueueDelayMaxMs())
 	}
 }
 
