@@ -518,7 +518,7 @@ func BenchmarkAblationWorkloadPolicies(b *testing.B) {
 
 // newLabPacketEngine builds a packet engine over the Global P4 Lab with the
 // three tunnel routes encoded, for the throughput benchmarks.
-func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*dataplane.Route) {
+func newLabPacketEngine(b *testing.B) (*dataplane.Engine, []*dataplane.Route) {
 	b.Helper()
 	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
 	if err != nil {
@@ -529,7 +529,7 @@ func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*datapl
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := dataplane.New(lab, dataplane.Config{Domain: domain, Workers: workers})
+	engine, err := dataplane.New(lab, dataplane.Config{Domain: domain})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -546,59 +546,50 @@ func newLabPacketEngine(b *testing.B, workers int) (*dataplane.Engine, []*datapl
 
 // BenchmarkDataplaneForwarding measures end-to-end packet forwarding
 // throughput on the lab topology: each iteration injects a batch across the
-// three tunnels and drains the engine, serially and sharded over the
-// available cores. The pkts/s metric counts delivered packets; hops/s
-// counts forwarding decisions. One untimed warm-up iteration grows the
-// engine's pooled round state, so the timed loop measures the steady
-// state — which must stay at zero allocations per op (the gobench CI gate
-// pins allocs_per_op with zero tolerance).
+// three tunnels and drains the engine. The pkts/s metric counts delivered
+// packets; hops/s counts forwarding decisions. One untimed warm-up
+// iteration grows the engine's pooled round state, so the timed loop
+// measures the steady state — which must stay at zero allocations per op
+// (the gobench CI gate pins allocs_per_op with zero tolerance).
 func BenchmarkDataplaneForwarding(b *testing.B) {
 	const batch = 1024
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("parallel-%d", runtime.NumCPU()), runtime.NumCPU()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			engine, routes := newLabPacketEngine(b, mode.workers)
-			bufs := make([][]dataplane.Packet, len(routes))
-			iter := func() (dataplane.Stats, error) {
-				for ri, r := range routes {
-					bufs[ri] = r.AppendPackets(bufs[ri][:0], batch/len(routes), 1500)
-					if err := engine.InjectBatch(r.Inject, bufs[ri]); err != nil {
-						return dataplane.Stats{}, err
-					}
+	b.Run("serial", func(b *testing.B) {
+		engine, routes := newLabPacketEngine(b)
+		bufs := make([][]dataplane.Packet, len(routes))
+		iter := func() (dataplane.Stats, error) {
+			for ri, r := range routes {
+				bufs[ri] = r.AppendPackets(bufs[ri][:0], batch/len(routes), 1500)
+				if err := engine.InjectBatch(r.Inject, bufs[ri]); err != nil {
+					return dataplane.Stats{}, err
 				}
-				stats, err := engine.Run(context.Background())
-				engine.Reset()
-				return stats, err
 			}
-			if _, err := iter(); err != nil {
+			stats, err := engine.Run(context.Background())
+			engine.Reset()
+			return stats, err
+		}
+		if _, err := iter(); err != nil {
+			b.Fatal(err)
+		}
+		var delivered, hops uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stats, err := iter()
+			if err != nil {
 				b.Fatal(err)
 			}
-			var delivered, hops uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := iter()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Dropped() != 0 {
-					b.Fatalf("dropped %d packets", stats.Dropped())
-				}
-				delivered += stats.Delivered
-				hops += stats.Hops
+			if stats.Dropped() != 0 {
+				b.Fatalf("dropped %d packets", stats.Dropped())
 			}
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(delivered)/s, "pkts/s")
-				b.ReportMetric(float64(hops)/s, "hops/s")
-			}
-		})
-	}
+			delivered += stats.Delivered
+			hops += stats.Hops
+		}
+		b.StopTimer()
+		if s := b.Elapsed().Seconds(); s > 0 {
+			b.ReportMetric(float64(delivered)/s, "pkts/s")
+			b.ReportMetric(float64(hops)/s, "hops/s")
+		}
+	})
 }
 
 // BenchmarkDataplaneTableVsNaive compares the two forwarding

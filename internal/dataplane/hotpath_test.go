@@ -3,7 +3,6 @@ package dataplane
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/link"
@@ -213,103 +212,12 @@ func deliveredKeys(pkts []Packet) []deliveredKey {
 	return out
 }
 
-// mixedModesRun drives one engine with the three forwarding modes and
-// returns the delivered projection plus the engine for stats inspection.
-func mixedModesRun(t *testing.T, workers int) ([]deliveredKey, Stats, map[string]NodeStats) {
-	t.Helper()
-	e := labEngine(t, Config{Workers: workers})
-	lab := e.Topology()
-	uni, err := e.UnicastRoute(topo.TunnelPath1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pot, err := e.PoTRoute(topo.TunnelPath2(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := func(node, toward string) uint {
-		n, _ := lab.Node(node)
-		p, err := n.Port(toward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return uint(p)
-	}
-	mustSet := func(ports ...uint) uint64 {
-		m, err := polka.PortSet(ports...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mc, err := e.MulticastRoute(topo.MIA, map[string]uint64{
-		topo.MIA: mustSet(port(topo.MIA, topo.SAO), port(topo.MIA, topo.CHI)),
-		topo.SAO: mustSet(port(topo.SAO, topo.AMS)),
-		topo.CHI: mustSet(port(topo.CHI, topo.AMS)),
-		topo.AMS: mustSet(port(topo.AMS, topo.HostAMS)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*Route{uni, pot, mc} {
-		if err := e.InjectBatch(r.Inject, r.NewPackets(40, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeStats := make(map[string]NodeStats)
-	for _, name := range e.Domain().Nodes() {
-		ns, err := e.NodeStats(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodeStats[name] = ns
-	}
-	return deliveredKeys(e.Delivered()), stats, nodeStats
-}
-
-// TestSerialParallelDeliveredIdentical is the determinism contract:
-// Delivered() — order and packet contents — plus Stats and every node's
-// counters are identical across worker counts, under all three modes at
-// once. Contiguous block ownership with worker-order merging is what
-// makes the parallel schedule reproduce the serial sweep exactly.
-func TestSerialParallelDeliveredIdentical(t *testing.T) {
-	refKeys, refStats, refNodes := mixedModesRun(t, 1)
-	if len(refKeys) == 0 {
-		t.Fatal("reference run delivered nothing")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		keys, stats, nodes := mixedModesRun(t, workers)
-		if stats != refStats {
-			t.Fatalf("workers=%d stats diverge:\nserial   %+v\nparallel %+v", workers, refStats, stats)
-		}
-		if len(keys) != len(refKeys) {
-			t.Fatalf("workers=%d delivered %d packets, serial %d", workers, len(keys), len(refKeys))
-		}
-		for i := range keys {
-			if keys[i] != refKeys[i] {
-				t.Fatalf("workers=%d delivered[%d] diverges:\nserial   %+v\nparallel %+v",
-					workers, i, refKeys[i], keys[i])
-			}
-		}
-		for name, ref := range refNodes {
-			got := nodes[name]
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("workers=%d node %s counters diverge:\nserial   %+v\nparallel %+v", workers, name, ref, got)
-			}
-		}
-	}
-}
-
 // TestResetReplaysIdentically pins Reset's contract for the pooled round
 // state: a reset engine re-running the same injections reproduces the
 // delivered sequence and stats byte for byte, with the recycled buffers
 // warm.
 func TestResetReplaysIdentically(t *testing.T) {
-	e := labEngine(t, Config{Workers: 2})
+	e := labEngine(t, Config{})
 	uni, err := e.UnicastRoute(topo.TunnelPath1())
 	if err != nil {
 		t.Fatal(err)

@@ -280,16 +280,6 @@ func TestFullModeResetReplays(t *testing.T) {
 	}
 }
 
-func TestFullModeRejectsWorkers(t *testing.T) {
-	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(lab, Config{LinkMode: LinkFull, Workers: 4}); err == nil {
-		t.Fatal("LinkFull with Workers > 1 accepted; the event loop is serial")
-	}
-}
-
 func TestFullModeContextCancellation(t *testing.T) {
 	e := labEngine(t, Config{LinkMode: LinkFull, Link: transparentLink()})
 	r, err := e.UnicastRoute(topo.TunnelPath1())

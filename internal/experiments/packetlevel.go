@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/dataplane"
@@ -28,9 +27,9 @@ type PacketLevelConfig struct {
 	PacketsPerRoute int
 	// PacketSize is the simulated payload size in bytes (default 1500).
 	PacketSize int
-	// Workers selects the engine execution mode: 0 auto-sizes to the
-	// machine's CPU count (what the retired dataplanedemo binary did), 1
-	// forces serial, > 1 fixes the worker count.
+	// Workers is kept so existing -config files that set it still decode.
+	//
+	// Deprecated: ignored; forwarding rounds run on the calling goroutine.
 	Workers int
 	// MeasureRounds repeats the identical workload (Reset replays are
 	// byte-deterministic) and reports the mean forwarding rate across
@@ -43,8 +42,7 @@ type PacketLevelConfig struct {
 	PoTSeed int64
 	// FullLinks routes every inter-switch handoff through the full link
 	// tier (dataplane.LinkFull): frames serialize at each link's topology
-	// capacity and cross its propagation delay in virtual time. Forces
-	// serial execution (the event loop is single-threaded).
+	// capacity and cross its propagation delay in virtual time.
 	FullLinks bool
 	// Seed roots the full-tier link randomness (FullLinks only).
 	Seed int64
@@ -112,14 +110,8 @@ func RunPacketLevel(cfg PacketLevelConfig) (*PacketLevelResult, error) {
 // forwarding rounds poll ctx, so even large batches abort promptly.
 func RunPacketLevelContext(ctx context.Context, cfg PacketLevelConfig) (*PacketLevelResult, error) {
 	cfg = cfg.withDefaults()
-	// Workers stays 0 ("auto") in serialized configs so defaults are
-	// machine-independent; the resolution to the actual CPU count happens
-	// here at run time.
 	if cfg.FullLinks {
-		cfg.Workers = 1
 		cfg.MeasureRounds = 1
-	} else if cfg.Workers == 0 {
-		cfg.Workers = runtime.NumCPU()
 	}
 	lab, err := topo.BuildGlobalP4Lab(topo.DefaultGlobalP4LabConfig())
 	if err != nil {
@@ -130,7 +122,7 @@ func RunPacketLevelContext(ctx context.Context, cfg PacketLevelConfig) (*PacketL
 	if err != nil {
 		return nil, err
 	}
-	ecfg := dataplane.Config{Domain: domain, Workers: cfg.Workers}
+	ecfg := dataplane.Config{Domain: domain}
 	if cfg.FullLinks {
 		ecfg.LinkMode = dataplane.LinkFull
 		ecfg.Seed = cfg.Seed
