@@ -89,7 +89,7 @@ func benchCmd(ctx context.Context, stdout, errOut io.Writer, args []string) erro
 		}
 		snap = benchstore.New(*label)
 	case rf.dispatchMode():
-		// Fleet mode: each backend contributed one shard; the shard
+		// Fleet mode: each work unit contributed one scenario; the unit
 		// snapshots union through benchstore.Merge, the same guarded path
 		// `bench -merge` uses (overlaps and quick/full mixes refuse).
 		if snap, err = dispatchBench(ctx, names, rf, *label, errOut); err != nil {

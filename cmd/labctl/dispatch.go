@@ -17,10 +17,9 @@ import (
 // the suite as scenario-granular work units that per-backend pullers
 // drain (fast backends take more; a dying or busy backend spills back
 // only its in-flight unit), and merges the per-unit results back into
-// the exact artifact a single run would have written. -steal=false
-// restores the fixed one-shard-per-backend plan. Flags, artifacts, and
-// exit codes match -addr mode; -shard is rejected because the fleet
-// itself is the shard matrix.
+// the exact artifact a single run would have written. Flags, artifacts,
+// and exit codes match -addr mode; -shard is rejected because the
+// dispatcher splits the suite itself.
 
 // dispatchMode reports whether a backend fleet was given.
 func (rf runFlags) dispatchMode() bool { return rf.addrs != "" || rf.addrsFile != "" }
@@ -77,7 +76,7 @@ func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.W
 		return nil, err
 	}
 	if rf.shard != "" {
-		return nil, fmt.Errorf("-shard cannot combine with -addrs: the dispatcher owns the shard slice (one per healthy backend)")
+		return nil, fmt.Errorf("-shard cannot combine with -addrs: the dispatcher owns the shard slice (it runs each scenario as its own work unit)")
 	}
 	// The same flag-to-spec wiring -addr mode uses; rf.shard is empty
 	// here, so the spec's shard fields stay zero for the dispatcher.
@@ -85,7 +84,7 @@ func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.W
 	if err != nil {
 		return nil, err
 	}
-	opts := dispatch.Options{Spec: spec, FixedShards: !rf.steal}
+	opts := dispatch.Options{Spec: spec}
 	if rf.verbose {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(errOut, format+"\n", args...)
@@ -99,9 +98,9 @@ func dispatchSuite(ctx context.Context, names []string, rf runFlags, errOut io.W
 }
 
 // dispatchBench runs the suite across the fleet and unions the
-// per-shard report sets into one snapshot through benchstore.Merge —
+// per-unit report sets into one snapshot through benchstore.Merge —
 // the same refusal-guarded path `bench -merge` takes for on-disk
-// shards, so overlapping shards and quick/full mixes cannot poison the
+// shards, so overlapping units and quick/full mixes cannot poison the
 // trajectory here either.
 func dispatchBench(ctx context.Context, names []string, rf runFlags, label string, errOut io.Writer) (*benchstore.Snapshot, error) {
 	dres, err := dispatchSuite(ctx, names, rf, errOut)
@@ -122,11 +121,6 @@ func dispatchBench(ctx context.Context, names []string, rf runFlags, label strin
 		s.Quick = u.Result.Quick
 		snaps = append(snaps, s)
 	}
-	for _, sh := range dres.Shards { // -steal=false
-		s := benchstore.FromReports("", sh.Result.Reports()...)
-		s.Quick = sh.Result.Quick
-		snaps = append(snaps, s)
-	}
 	snap, err := benchstore.Merge(snaps...)
 	if err != nil {
 		return nil, err
@@ -135,9 +129,10 @@ func dispatchBench(ctx context.Context, names []string, rf runFlags, label strin
 	return snap, nil
 }
 
-// dispatchRun is `labctl run` across the fleet: each shard runs its
-// slice serially and fail-fast, and the merged outcomes render exactly
-// like a single run's.
+// dispatchRun is `labctl run` across the fleet: the units run under the
+// run command's serial, fail-fast spec (a failure skips every unit not
+// yet taken), and the merged outcomes render exactly like a single
+// run's.
 func dispatchRun(ctx context.Context, stdout, errOut io.Writer, names []string, rf runFlags) error {
 	rf.parallel, rf.failFast = 1, true
 	dres, err := dispatchSuite(ctx, names, rf, errOut)

@@ -97,30 +97,6 @@ func TestDispatchSuiteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDispatchSuiteFixedShardsMatchesLocal: the `-steal=false` escape
-// hatch (fixed per-backend shard plan, PR 5 behavior) still produces a
-// byte-identical artifact.
-func TestDispatchSuiteFixedShardsMatchesLocal(t *testing.T) {
-	cluster := startCluster(t, 3)
-	dir := t.TempDir()
-	localPath := filepath.Join(dir, "local.json")
-	fleetPath := filepath.Join(dir, "fleet.json")
-
-	var out bytes.Buffer
-	if err := run(append([]string{"suite", "-quick", "-o", localPath}, fleetNames...), &out, &out); err != nil {
-		t.Fatal(err)
-	}
-	addrs := strings.Join(cluster.Addrs(), ",")
-	if err := run(append([]string{"suite", "-quick", "-steal=false", "-addrs", addrs, "-o", fleetPath}, fleetNames...), &out, &out); err != nil {
-		t.Fatal(err)
-	}
-	local, _ := os.ReadFile(localPath)
-	fleet, _ := os.ReadFile(fleetPath)
-	if normalizeWall(local) != normalizeWall(fleet) {
-		t.Errorf("fixed-shard artifact differs:\n--- local\n%s\n--- fleet\n%s", local, fleet)
-	}
-}
-
 // TestDispatchSuiteSurvivesDeadBackend: one dead backend in the -addrs
 // list must not change the artifact or the exit code — the fleet plans
 // around it.
@@ -169,7 +145,7 @@ func TestDispatchRunMatchesLocal(t *testing.T) {
 }
 
 // TestDispatchBenchMatchesLocal: `labctl bench -addrs` merges the
-// per-shard snapshots through benchstore.Merge into the same snapshot a
+// per-unit snapshots through benchstore.Merge into the same snapshot a
 // local bench writes, modulo created_at and wall time.
 func TestDispatchBenchMatchesLocal(t *testing.T) {
 	cluster := startCluster(t, 3)

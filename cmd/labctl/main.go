@@ -70,7 +70,6 @@ type runFlags struct {
 	addr       string
 	addrs      string
 	addrsFile  string
-	steal      bool
 }
 
 // newFlagSet returns a continue-on-error flag set writing to errOut.
@@ -92,7 +91,6 @@ func registerRunFlags(fs *flag.FlagSet, rf *runFlags, suiteMode bool) {
 	fs.StringVar(&rf.addr, "addr", "", "submit to the labd daemon at this address instead of running in-process")
 	fs.StringVar(&rf.addrs, "addrs", "", "comma-separated labd backends: dispatch the suite across every healthy backend and merge the results")
 	fs.StringVar(&rf.addrsFile, "addrs-file", "", "file listing labd backends (whitespace separated, # comments), same as -addrs")
-	fs.BoolVar(&rf.steal, "steal", true, "with -addrs: pull scenario-granular work units per backend; -steal=false restores fixed per-backend shards")
 	fs.StringVar(&rf.family, "family", "", "also select every scenario of this generated family (see labctl list)")
 	if suiteMode {
 		fs.IntVar(&rf.parallel, "parallel", 1, "scenarios run concurrently")
@@ -209,8 +207,7 @@ remote mode:     -addr host:port submits run/suite/bench to a labd daemon
 fleet mode:      -addrs a,b,c (or -addrs-file F) dispatches run/suite/bench
                  across several labd daemons: backends pull scenario-granular
                  work units, so fast machines take more and a straggler never
-                 gates the suite; -steal=false restores fixed per-backend
-                 shards (same artifacts/exit codes either way)
+                 gates the suite (same artifacts and exit codes as -addr)
 `)
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/labd"
 )
 
-// TestChaosWedgedBackendMidSuite: a backend that accepts a shard and
+// TestChaosWedgedBackendMidSuite: a backend that accepts a unit and
 // then wedges (control requests stall while its event stream idles) must
 // surface as a poll timeout and requeue — not stall the dispatch behind
 // the hung connection.
@@ -46,7 +46,7 @@ func TestChaosWedgedBackendMidSuite(t *testing.T) {
 	select {
 	case wedgedAddr = <-blocked:
 	case <-time.After(30 * time.Second):
-		t.Fatal("the blocker never reported holding a shard")
+		t.Fatal("the blocker never reported holding a unit")
 	}
 	for _, b := range cluster.Backends {
 		if b.Addr() == wedgedAddr {
@@ -95,16 +95,16 @@ func unitFor(t *testing.T, res *Result, name string) UnitRun {
 }
 
 // TestChaosKillBackendMidSuite is the chaos e2e: a 3-backend cluster
-// loses one backend while its shard is mid-flight (a fixture scenario
+// loses one backend while its unit is mid-flight (a fixture scenario
 // holds the run until the chaos monkey strikes). The dispatcher must
-// detect the death, requeue the shard onto a survivor, finish green,
+// detect the death, requeue the unit onto a survivor, finish green,
 // and produce a merged artifact byte-equivalent (modulo wall time) to a
 // single-process run of the same suite.
 func TestChaosKillBackendMidSuite(t *testing.T) {
 	cluster := newCluster(t, 3)
 	ctx := ctxT(t)
 
-	// Arm the blocker: exactly one run (wherever its shard lands) holds
+	// Arm the blocker: exactly one run (wherever its unit lands) holds
 	// until released; the requeued re-run proceeds immediately.
 	gate := &blockGate{release: make(chan struct{})}
 	blockerGate.Store(gate)
@@ -134,7 +134,7 @@ func TestChaosKillBackendMidSuite(t *testing.T) {
 	select {
 	case victimAddr = <-blocked:
 	case <-time.After(30 * time.Second):
-		t.Fatal("the blocker never reported holding a shard")
+		t.Fatal("the blocker never reported holding a unit")
 	}
 	for _, b := range cluster.Backends {
 		if b.Addr() == victimAddr {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -70,9 +69,6 @@ func TestDispatchMatchesLocal(t *testing.T) {
 	if len(res.Units) != len(fixtureNames) {
 		t.Fatalf("ran %d units, want one per scenario (%d)", len(res.Units), len(fixtureNames))
 	}
-	if len(res.Shards) != 0 {
-		t.Fatalf("steal mode produced %d fixed shards", len(res.Shards))
-	}
 	if got := strings.Join(res.Names, ","); got != strings.Join(fixtureNames, ",") {
 		t.Fatalf("resolved names = %s", got)
 	}
@@ -94,113 +90,63 @@ func TestDispatchMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDispatchFixedShardsMatchesLocal keeps the -steal=false escape
-// hatch honest: the fixed one-shard-per-backend plan still merges into
-// the byte-equivalent local result.
-func TestDispatchFixedShardsMatchesLocal(t *testing.T) {
+// TestDispatchEventsMultiplexed: every job's progress stream arrives
+// through the one serialized callback, stamped with the backend that ran
+// the job, and every scenario's start/done pair is present. Every
+// backend pauses 200ms per job, so no unit can finish before all three
+// pullers have taken one: events must arrive from exactly three
+// backends.
+func TestDispatchEventsMultiplexed(t *testing.T) {
 	cluster := newCluster(t, 3)
+	for _, b := range cluster.Backends {
+		b.SetExecDelay(200 * time.Millisecond)
+	}
+	var events []Event
 	res, err := Run(ctxT(t), cluster.Addrs(), Options{
-		Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-		FixedShards: true,
+		Spec:    labd.JobSpec{Scenarios: fixtureNames, Quick: true},
+		OnEvent: func(ev Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Shards) != 3 {
-		t.Fatalf("planned %d shards, want 3", len(res.Shards))
-	}
-	if len(res.Units) != 0 {
-		t.Fatalf("fixed mode produced %d units", len(res.Units))
-	}
-	local := localSuite(t, fixtureNames, true)
-	localJSON, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canon(t, res.Raw), canon(t, localJSON); got != want {
-		t.Errorf("merged raw differs from local:\n--- dispatch\n%s\n--- local\n%s", got, want)
-	}
-}
-
-// TestDispatchEventsMultiplexed: every job's progress stream arrives
-// through the one serialized callback, stamped with the backend that ran
-// the job, and every scenario's start/done pair is present. Work
-// stealing promises no backend a unit, so the steal run checks each
-// event's stamp against the backend its unit records; the fixed-shard
-// run, which hands each of the three live backends exactly one shard,
-// pins that three streams are multiplexed.
-func TestDispatchEventsMultiplexed(t *testing.T) {
-	cluster := newCluster(t, 3)
-	run := func(fixed bool) (*Result, []Event) {
-		t.Helper()
-		var events []Event
-		res, err := Run(ctxT(t), cluster.Addrs(), Options{
-			Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-			FixedShards: fixed,
-			OnEvent:     func(ev Event) { events = append(events, ev) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, events
-	}
-	// check verifies the stream against owner, the backend recorded for
-	// each shard slot, and returns the set of backends events came from.
-	check := func(mode string, events []Event, owner map[scenario.Shard]string) map[string]bool {
-		t.Helper()
-		started := map[string]bool{}
-		done := map[string]bool{}
-		backends := map[string]bool{}
-		for _, ev := range events {
-			want, ok := owner[ev.Shard]
-			switch {
-			case !ok:
-				t.Fatalf("%s: event for unknown slot %+v: %+v", mode, ev.Shard, ev)
-			case ev.Backend != want:
-				t.Fatalf("%s: event %+v stamped %q, but slot %+v ran on %q", mode, ev.Event, ev.Backend, ev.Shard, want)
-			}
-			backends[ev.Backend] = true
-			switch ev.Event.Phase {
-			case "start":
-				started[ev.Event.Scenario] = true
-			case "done":
-				if ev.Event.Scenario != "" {
-					done[ev.Event.Scenario] = true
-				}
-			}
-		}
-		for _, name := range fixtureNames {
-			if !started[name] || !done[name] {
-				t.Errorf("%s: scenario %s missing start/done in multiplexed stream", mode, name)
-			}
-		}
-		return backends
-	}
-
-	res, events := run(false)
 	owner := map[scenario.Shard]string{}
-	units := map[string]bool{}
 	for _, u := range res.Units {
 		owner[scenario.Shard{Index: u.Index, Count: len(res.Names)}] = u.Backend
-		units[u.Backend] = true
 	}
-	if got := check("steal", events, owner); !reflect.DeepEqual(got, units) {
-		t.Errorf("steal: events came from backends %v, units ran on %v", got, units)
+	started := map[string]bool{}
+	done := map[string]bool{}
+	backends := map[string]bool{}
+	for _, ev := range events {
+		want, ok := owner[ev.Shard]
+		switch {
+		case !ok:
+			t.Fatalf("event for unknown slot %+v: %+v", ev.Shard, ev)
+		case ev.Backend != want:
+			t.Fatalf("event %+v stamped %q, but slot %+v ran on %q", ev.Event, ev.Backend, ev.Shard, want)
+		}
+		backends[ev.Backend] = true
+		switch ev.Event.Phase {
+		case "start":
+			started[ev.Event.Scenario] = true
+		case "done":
+			if ev.Event.Scenario != "" {
+				done[ev.Event.Scenario] = true
+			}
+		}
 	}
-
-	res, events = run(true)
-	owner = map[scenario.Shard]string{}
-	for _, sh := range res.Shards {
-		owner[sh.Shard] = sh.Backend
+	for _, name := range fixtureNames {
+		if !started[name] || !done[name] {
+			t.Errorf("scenario %s missing start/done in multiplexed stream", name)
+		}
 	}
-	if got := check("fixed", events, owner); len(got) != 3 {
-		t.Errorf("fixed: events came from %d backends, want 3 (one shard each)", len(got))
+	if len(backends) != 3 {
+		t.Errorf("events came from %d backend(s) %v, want 3", len(backends), backends)
 	}
 }
 
 // TestDispatchExcludesDeadAtPlanning: a fleet listing one dead backend
-// plans around it — fewer shards, same full coverage, the dead address
-// reported excluded.
+// plans around it — no puller for it, same full coverage, the dead
+// address reported excluded.
 func TestDispatchExcludesDeadAtPlanning(t *testing.T) {
 	cluster := newCluster(t, 3)
 	dead := cluster.Backends[1]
@@ -384,39 +330,6 @@ func TestDispatchRejectsDuplicateBackend(t *testing.T) {
 	_, err := Run(ctxT(t), []string{addr, addr}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestDispatchRefusesOverlappingShards drives the merge refusal through
-// the real dispatch path: two shard slots doctored to cover the same
-// slice must fail the dispatch, not double-count the scenarios.
-func TestDispatchRefusesOverlappingShards(t *testing.T) {
-	cluster := newCluster(t, 2)
-	opts := Options{Spec: labd.JobSpec{Scenarios: fixtureNames, Quick: true}, FixedShards: true}
-	opts.planHook = func(plans []plan) []plan {
-		plans[1].spec.ShardIndex = plans[0].spec.ShardIndex
-		plans[1].shard = plans[0].shard
-		return plans
-	}
-	_, err := Run(ctxT(t), cluster.Addrs(), opts)
-	if err == nil || !strings.Contains(err.Error(), "overlapping shards") {
-		t.Fatalf("err = %v, want overlapping-shard refusal", err)
-	}
-}
-
-// TestDispatchRefusesQuickFullMix drives the quick/full refusal through
-// the dispatch path: one shard doctored to run quick while the rest run
-// full must fail the merge.
-func TestDispatchRefusesQuickFullMix(t *testing.T) {
-	cluster := newCluster(t, 2)
-	opts := Options{Spec: labd.JobSpec{Scenarios: fixtureNames, Quick: false}, FixedShards: true}
-	opts.planHook = func(plans []plan) []plan {
-		plans[1].spec.Quick = true
-		return plans
-	}
-	_, err := Run(ctxT(t), cluster.Addrs(), opts)
-	if err == nil || !strings.Contains(err.Error(), "quick and full") {
-		t.Fatalf("err = %v, want quick/full-mix refusal", err)
 	}
 }
 

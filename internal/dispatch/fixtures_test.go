@@ -38,7 +38,7 @@ func (f fix) Run(ctx context.Context, env *scenario.Env, cfg any) (*scenario.Rep
 // blockGate arms the blocker fixture for exactly one run: the first run
 // that consumes the gate blocks until its context dies or the release
 // channel closes; every other run (the requeued one included) returns
-// immediately. Chaos tests use it to hold a shard mid-flight on the
+// immediately. Chaos tests use it to hold a unit mid-flight on the
 // backend about to be killed.
 type blockGate struct {
 	release chan struct{}

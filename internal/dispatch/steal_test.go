@@ -120,66 +120,20 @@ func TestStealBackendJoinsMidRun(t *testing.T) {
 // default: three dead addresses and one busy survivor must give up
 // after 2 attempts (2 × 1 live), not 8 (2 × 4 listed).
 func TestStealMaxAttemptsDerivedFromLiveBackends(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		fixed bool
-	}{{"steal", false}, {"fixed", true}} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			cluster := newCluster(t, 4)
-			for i := 0; i < 3; i++ {
-				cluster.Backends[i].Kill()
-			}
-			cluster.Backends[3].SetFault(dispatchtest.FaultQueueFull)
-			_, err := Run(ctxT(t), cluster.Addrs(), Options{
-				Spec:        labd.JobSpec{Scenarios: fixtureNames, Quick: true},
-				RetryDelay:  10 * time.Millisecond,
-				FixedShards: mode.fixed,
-			})
-			if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempt(s)") {
-				t.Fatalf("err = %v, want give-up after 2 attempts (2 × live, not 2 × listed)", err)
-			}
-		})
-	}
-}
-
-// TestFleetPickRotatesFallback pins the fallback-rotation bugfix: once
-// every survivor has been tried, repeated picks must cycle through the
-// survivors instead of always returning the first one.
-func TestFleetPickRotatesFallback(t *testing.T) {
-	mk := func(addrs ...string) *fleet {
-		f := &fleet{dead: make(map[string]bool)}
-		for _, a := range addrs {
-			f.backends = append(f.backends, &backend{addr: a})
+	t.Run("steal", func(t *testing.T) {
+		cluster := newCluster(t, 4)
+		for i := 0; i < 3; i++ {
+			cluster.Backends[i].Kill()
 		}
-		return f
-	}
-	f := mk("a", "b", "c")
-	tried := map[string]bool{"a": true, "b": true, "c": true}
-	var got []string
-	for i := 0; i < 4; i++ {
-		got = append(got, f.pick(tried).addr)
-	}
-	if want := "a,b,c,a"; strings.Join(got, ",") != want {
-		t.Errorf("all-tried picks = %v, want rotation %s", got, want)
-	}
-
-	// Dead survivors are skipped by the rotation.
-	f = mk("a", "b", "c")
-	f.markDead("b")
-	got = nil
-	for i := 0; i < 4; i++ {
-		got = append(got, f.pick(tried).addr)
-	}
-	if want := "a,c,a,c"; strings.Join(got, ",") != want {
-		t.Errorf("picks with b dead = %v, want %s", got, want)
-	}
-
-	// Untried survivors still take precedence over the rotation.
-	f = mk("a", "b", "c")
-	if b := f.pick(map[string]bool{"a": true}); b.addr != "b" {
-		t.Errorf("pick with a tried = %s, want the first untried (b)", b.addr)
-	}
+		cluster.Backends[3].SetFault(dispatchtest.FaultQueueFull)
+		_, err := Run(ctxT(t), cluster.Addrs(), Options{
+			Spec:       labd.JobSpec{Scenarios: fixtureNames, Quick: true},
+			RetryDelay: 10 * time.Millisecond,
+		})
+		if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempt(s)") {
+			t.Fatalf("err = %v, want give-up after 2 attempts (2 × live, not 2 × listed)", err)
+		}
+	})
 }
 
 // TestWorkQueueFailFastDrainsPending: a failed unit under fail-fast
@@ -265,8 +219,8 @@ func TestStealerTailHold(t *testing.T) {
 }
 
 // TestMergeUnitsRefusals drives MergeUnits' determinism guards
-// directly: overlap, wrong scenario, quick/full mix, and the skipped
-// fabrication path.
+// directly — every malformed unit set is refused with an error naming
+// the defect — and then the skipped fabrication path.
 func TestMergeUnitsRefusals(t *testing.T) {
 	names := []string{"s0", "s1"}
 	unitOf := func(i int, name string, quick bool) UnitRun {
@@ -279,21 +233,25 @@ func TestMergeUnitsRefusals(t *testing.T) {
 			},
 		}
 	}
+	twoOutcomes := unitOf(1, "s1", true)
+	twoOutcomes.Result.Outcomes = append(twoOutcomes.Result.Outcomes, scenario.Outcome{Scenario: "s0"})
 
-	if _, _, err := MergeUnits(names, []UnitRun{unitOf(0, "s0", true), unitOf(0, "s0", true)}); err == nil ||
-		!strings.Contains(err.Error(), "covered twice") {
-		t.Errorf("overlap err = %v", err)
-	}
-	if _, _, err := MergeUnits(names, []UnitRun{unitOf(0, "s0", true), unitOf(1, "s0", true)}); err == nil ||
-		!strings.Contains(err.Error(), "suite order expects") {
-		t.Errorf("wrong-scenario err = %v", err)
-	}
-	if _, _, err := MergeUnits(names, []UnitRun{unitOf(0, "s0", true), unitOf(1, "s1", false)}); err == nil ||
-		!strings.Contains(err.Error(), "quick and full") {
-		t.Errorf("quick-mix err = %v", err)
-	}
-	if _, _, err := MergeUnits(names, []UnitRun{unitOf(0, "s0", true)}); err == nil {
-		t.Error("short unit list accepted")
+	for _, tc := range []struct {
+		name  string
+		units []UnitRun
+		want  string
+	}{
+		{"overlap", []UnitRun{unitOf(0, "s0", true), unitOf(0, "s0", true)}, "covered twice"},
+		{"wrong scenario", []UnitRun{unitOf(0, "s0", true), unitOf(1, "s0", true)}, "suite order expects"},
+		{"quick/full mix", []UnitRun{unitOf(0, "s0", true), unitOf(1, "s1", false)}, "quick and full"},
+		{"short list", []UnitRun{unitOf(0, "s0", true)}, "merge of 1 unit(s) over 2"},
+		{"index out of range", []UnitRun{unitOf(0, "s0", true), unitOf(2, "s1", true)}, "out of range"},
+		{"nil result", []UnitRun{unitOf(0, "s0", true), {Scenario: "s1", Index: 1}}, "has no result"},
+		{"extra outcome", []UnitRun{unitOf(0, "s0", true), twoOutcomes}, "carries 2 outcome(s)"},
+	} {
+		if _, _, err := MergeUnits(names, tc.units); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 
 	// Fail-fast skip: the merged document carries the same skipped
