@@ -85,7 +85,7 @@ func BenchmarkFig6RegressorSweep(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMLComparison(cfg)
+		res, err := experiments.RunMLComparisonContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkFig7RandomForestPredict(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredicted("RFR", cfg); err != nil {
+		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "RFR", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkFig8GaussianProcessPredict(b *testing.B) {
 	cfg := experiments.DefaultMLConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunObservedVsPredicted("GPR", cfg); err != nil {
+		if _, err := experiments.RunObservedVsPredictedContext(context.Background(), "GPR", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func BenchmarkFig11LatencyMigration(b *testing.B) {
 	cfg := benchTestbedConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunLatencyMigration(cfg)
+		res, err := experiments.RunLatencyMigrationContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig12FlowAggregation(b *testing.B) {
 	cfg := benchTestbedConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFlowAggregation(cfg)
+		res, err := experiments.RunFlowAggregationContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func BenchmarkAblationWorkloadPolicies(b *testing.B) {
 			b.ReportAllocs()
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunWorkload(cfg)
+				res, err := experiments.RunWorkloadContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -182,7 +182,8 @@ type Packet struct {
 }
 
 // TraceEvent describes one forwarding outcome, delivered to the Config.Trace
-// hook. Exactly one of Forwarded/Delivered/Drop≠DropNone applies.
+// hook: a drop (Drop ≠ DropNone), a delivery (Delivered), or else a
+// packet sent on to the switch named by Next.
 type TraceEvent struct {
 	// PacketID is the engine-assigned packet ID.
 	PacketID uint64
@@ -265,26 +266,13 @@ type Stats struct {
 	// PoTVerified counts PoT packets whose proof verified at egress.
 	PoTVerified uint64
 	// Rounds counts hop-synchronous forwarding rounds (fast mode) or
-	// event batches (full mode) executed by Run.
+	// passes of the link event loop (full mode) executed by Run.
 	Rounds uint64
 }
 
 // Dropped returns the total packets discarded for any reason.
 func (s Stats) Dropped() uint64 {
 	return s.TTLDrops + s.BadPortDrops + s.PoTDrops + s.QueueDrops + s.LossDrops
-}
-
-// add accumulates a round buffer's deltas.
-func (s *Stats) add(d Stats) {
-	s.Hops += d.Hops
-	s.Delivered += d.Delivered
-	s.DeliveredBytes += d.DeliveredBytes
-	s.TTLDrops += d.TTLDrops
-	s.BadPortDrops += d.BadPortDrops
-	s.PoTDrops += d.PoTDrops
-	s.QueueDrops += d.QueueDrops
-	s.LossDrops += d.LossDrops
-	s.PoTVerified += d.PoTVerified
 }
 
 // NodeStats are the per-switch counters.

@@ -110,11 +110,12 @@ func TestEgressHistogram(t *testing.T) {
 	}
 }
 
-func TestMulticastTree(t *testing.T) {
-	e := labEngine(t, Config{RecordPaths: true})
+// labMulticastTree encodes the lab's M-PolKA multicast tree: MIA
+// replicates to SAO and CHI, both forward to AMS, and AMS delivers to
+// host2, which receives two copies, one per branch.
+func labMulticastTree(t testing.TB, e *Engine) *Route {
+	t.Helper()
 	lab := e.Topology()
-	// MIA replicates to SAO and CHI; both forward to AMS; AMS delivers to
-	// host2. host2 receives two copies, one per branch.
 	port := func(node, toward string) uint {
 		n, err := lab.Node(node)
 		if err != nil {
@@ -133,16 +134,43 @@ func TestMulticastTree(t *testing.T) {
 		}
 		return m
 	}
-	tree := map[string]uint64{
+	r, err := e.MulticastRoute(topo.MIA, map[string]uint64{
 		topo.MIA: set(port(topo.MIA, topo.SAO), port(topo.MIA, topo.CHI)),
 		topo.SAO: set(port(topo.SAO, topo.AMS)),
 		topo.CHI: set(port(topo.CHI, topo.AMS)),
 		topo.AMS: set(port(topo.AMS, topo.HostAMS)),
-	}
-	r, err := e.MulticastRoute(topo.MIA, tree)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// mixedModesEngine builds a lab engine and queues 40 packets on each of a
+// unicast route over tunnel 1, a PoT route over tunnel 2, and the
+// multicast tree of labMulticastTree.
+func mixedModesEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	e := labEngine(t, cfg)
+	uni, err := e.UnicastRoute(topo.TunnelPath1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pot, err := e.PoTRoute(topo.TunnelPath2(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Route{uni, pot, labMulticastTree(t, e)} {
+		if err := e.InjectBatch(r.Inject, r.NewPackets(40, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+func TestMulticastTree(t *testing.T) {
+	e := labEngine(t, Config{RecordPaths: true})
+	r := labMulticastTree(t, e)
 	// Each node's data-plane port set must match the encoded mask.
 	if err := e.VerifyRoute(r); err != nil {
 		t.Fatal(err)

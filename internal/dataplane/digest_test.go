@@ -11,57 +11,9 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/experiments"
-	"repro/internal/polka"
+	"repro/internal/link"
 	"repro/internal/topo"
 )
-
-// mixedModesEngine builds a lab engine and queues 40 packets on each of a
-// unicast route over tunnel 1, a PoT route over tunnel 2, and an M-PolKA
-// multicast tree: MIA replicates to SAO and CHI, both branches re-join at
-// AMS, and AMS delivers to host2.
-func mixedModesEngine(t *testing.T, cfg dataplane.Config) *dataplane.Engine {
-	t.Helper()
-	e := dataplane.LabEngine(t, cfg)
-	lab := e.Topology()
-	uni, err := e.UnicastRoute(topo.TunnelPath1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pot, err := e.PoTRoute(topo.TunnelPath2(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := func(node, toward string) uint {
-		n, _ := lab.Node(node)
-		p, err := n.Port(toward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return uint(p)
-	}
-	mustSet := func(ports ...uint) uint64 {
-		m, err := polka.PortSet(ports...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	mc, err := e.MulticastRoute(topo.MIA, map[string]uint64{
-		topo.MIA: mustSet(port(topo.MIA, topo.SAO), port(topo.MIA, topo.CHI)),
-		topo.SAO: mustSet(port(topo.SAO, topo.AMS)),
-		topo.CHI: mustSet(port(topo.CHI, topo.AMS)),
-		topo.AMS: mustSet(port(topo.AMS, topo.HostAMS)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*dataplane.Route{uni, pot, mc} {
-		if err := e.InjectBatch(r.Inject, r.NewPackets(40, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return e
-}
 
 // mixedModesOutput writes the mixed-modes run's observable output: Stats
 // (Rounds included), the delivered packets in delivery order, and every
@@ -72,7 +24,7 @@ func mixedModesOutput(t *testing.T, w io.Writer) {
 
 // mixedModesOutputWith is mixedModesOutput over an engine built from cfg.
 func mixedModesOutputWith(t *testing.T, w io.Writer, cfg dataplane.Config) {
-	e := mixedModesEngine(t, cfg)
+	e := dataplane.MixedModesEngine(t, cfg)
 	stats, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +40,66 @@ func mixedModesOutputWith(t *testing.T, w io.Writer, cfg dataplane.Config) {
 		}
 		fmt.Fprintf(w, "node %s %+v\n", name, ns)
 	}
+}
+
+// fullMixedModesOutput writes the mixed-modes run on the full link tier
+// with recorded paths: Stats (Rounds included), the delivered packets in
+// delivery order with their arrival instants and paths, every node's
+// counters and every directed link's counters in domain and port order,
+// and the virtual clock. The links are modeled as 100 Mb/s wires with
+// 1 ms of propagation, 32-frame egress queues and 5% Bernoulli loss, so
+// the 120-packet burst both tail-drops and loses frames.
+func fullMixedModesOutput(t *testing.T, w io.Writer) {
+	fullOutputWith(t, w, dataplane.Config{LinkMode: dataplane.LinkFull, Seed: 11, RecordPaths: true,
+		Link: link.FullConfig{RateMbps: 100, DelayMs: 1, QueuePkts: 32, Loss: link.Bernoulli(0.05)}})
+}
+
+// fullTracedOutput is the mixed-modes run on topology-attribute links
+// (Link zero: every link's capacity and delay come from the topology)
+// with a trace hook; it writes fullMixedModesOutput's lines plus every
+// trace event in emission order.
+func fullTracedOutput(t *testing.T, w io.Writer) {
+	var events []dataplane.TraceEvent
+	fullOutputWith(t, w, dataplane.Config{LinkMode: dataplane.LinkFull, Seed: 5, RecordPaths: true,
+		Trace: func(ev dataplane.TraceEvent) { events = append(events, ev) }})
+	for _, ev := range events {
+		fmt.Fprintf(w, "trace %+v\n", ev)
+	}
+}
+
+// fullOutputWith writes a full-tier mixed-modes run over an engine built
+// from cfg; see fullMixedModesOutput.
+func fullOutputWith(t *testing.T, w io.Writer, cfg dataplane.Config) {
+	e := dataplane.MixedModesEngine(t, cfg)
+	stats, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(w, "stats %+v\n", stats)
+	delivered := e.Delivered()
+	for i, k := range dataplane.DeliveredKeys(delivered) {
+		fmt.Fprintf(w, "delivered %+v at %d path %+v\n", k, delivered[i].ArrivalNs, delivered[i].Path)
+	}
+	lab := e.Topology()
+	for _, name := range e.Domain().Nodes() {
+		ns, err := e.NodeStats(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(w, "node %s %+v\n", name, ns)
+		n, err := lab.Node(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range n.Neighbors() {
+			ls, err := e.LinkStats(name, nb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(w, "link %s->%s %+v\n", name, nb, ls)
+		}
+	}
+	fmt.Fprintf(w, "virtual %d\n", e.VirtualNow())
 }
 
 // packetLevelOutput writes the packetlevel scenario's Stats and per-route
@@ -106,10 +118,12 @@ func packetLevelOutput(t *testing.T, w io.Writer) {
 	}
 }
 
-// TestOutputMatchesPinnedDigests pins the fast tier's output byte for
+// TestOutputMatchesPinnedDigests pins both link tiers' output byte for
 // byte: each case's rendered output must hash to its recorded SHA-256.
-// The digests were taken while the engine still had a sharded
-// Workers > 1 round path, and Workers 1, 2, 4 and 8 all produced them.
+// The fast-tier digests were taken while the engine still had a sharded
+// Workers > 1 round path, and Workers 1, 2, 4 and 8 all produced them;
+// the full-tier digests were taken while each tier still carried its own
+// copy of the per-packet forwarding rules.
 func TestOutputMatchesPinnedDigests(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -118,6 +132,8 @@ func TestOutputMatchesPinnedDigests(t *testing.T) {
 	}{
 		{"mixed-modes", mixedModesOutput, mixedModesDigest},
 		{"packetlevel-quick", packetLevelOutput, "d2d36a54a42574703a7deaa21d6af167ec744df62ec7e0ed4f9b74ac20c6bbb3"},
+		{"full-mixed-modes", fullMixedModesOutput, "d12d63ba9591e80f92c76093aad13298b94147ebb8c8e8f73afe6a6505f912ff"},
+		{"full-traced", fullTracedOutput, "d7b8563b70536d79fb2cf00450cf4407ff0b3571c0254d686c13ef557998314b"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if got := outputDigest(t, c.output); got != c.want {
@@ -197,7 +213,7 @@ func TestSerialParallelParity(t *testing.T) {
 // MIA sends every multicast packet both to SAO and to CHI.
 func TestTraceMixedModes(t *testing.T) {
 	events := uint64(0)
-	e := mixedModesEngine(t, dataplane.Config{Trace: func(dataplane.TraceEvent) { events++ }})
+	e := dataplane.MixedModesEngine(t, dataplane.Config{Trace: func(dataplane.TraceEvent) { events++ }})
 	stats, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

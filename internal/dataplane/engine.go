@@ -46,7 +46,10 @@ type Engine struct {
 	// swapped against its consumed batch from the previous round, so
 	// queue growth amortizes to zero instead of re-appending from nil.
 	batches [][]Packet
-	buf     roundBuf
+	// rids and ports are forwardBatch's scratch: the routeIDs of the
+	// batch under forwarding and their output residues.
+	rids  [][]byte
+	ports []uint64
 }
 
 // New builds an engine over the topology. Every node of the domain (the
@@ -213,8 +216,8 @@ func (e *Engine) InjectBatch(node string, pkts []Packet) error {
 // virtual time — see runFull. Either way, TTL bounds the work per packet and
 // Config.MaxInFlight bounds the population (a crafted multicast routeID
 // could otherwise amplify geometrically), so Run terminates even on
-// looping routeIDs. A canceled context stops between rounds (or event
-// batches), leaving undelivered packets queued.
+// looping routeIDs. A canceled context stops between rounds (or passes),
+// leaving undelivered packets queued.
 func (e *Engine) Run(ctx context.Context) (Stats, error) {
 	if e.full != nil {
 		return e.runFull(ctx)
@@ -227,8 +230,6 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 		}
 		e.stats.Rounds++
 		e.pending = e.runRound()
-		e.stats.add(e.buf.stats)
-		e.deliv = append(e.deliv, e.buf.delivered...)
 		if e.pending > e.cfg.MaxInFlight {
 			return e.stats, e.errCap(e.pending)
 		}
@@ -240,7 +241,8 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Delivered returns the packets delivered since the last Reset, in
-// delivery order: round by round, and within a round in node order.
+// delivery order: in the fast tier round by round, and within a round in
+// node order; in the full tier in arrival order.
 func (e *Engine) Delivered() []Packet {
 	out := make([]Packet, len(e.deliv))
 	copy(out, e.deliv)
@@ -261,7 +263,7 @@ func (e *Engine) NodeStats(name string) (NodeStats, error) {
 }
 
 // Reset clears all queues, counters and the delivered list, keeping the
-// topology, domain, reducers — and the warmed round buffers and queue
+// topology, domain, reducers — and the warmed scratch slices and queue
 // backing arrays, so an engine reused across benchmark iterations runs at
 // steady state without reallocating. Full-mode link state rewinds in
 // place (virtual clock back to zero, random streams re-seeded; see
@@ -285,32 +287,11 @@ func (e *Engine) Reset() {
 	}
 }
 
-// roundBuf collects a round's outputs — delivered packets and counter
-// deltas — plus the batch-forwarding scratch. The engine keeps one and
-// truncates it, never frees it, so a warm engine forwards without
-// allocating.
-type roundBuf struct {
-	outN      int // packets emitted to next-hop queues this round
-	delivered []Packet
-	stats     Stats
-	rids      [][]byte // scratch: routeIDs of the batch under forwarding
-	ports     []uint64 // scratch: per-packet forwarding residues
-}
-
-// reset truncates the buffers for a new round, keeping capacity.
-func (b *roundBuf) reset() {
-	b.outN = 0
-	b.delivered = b.delivered[:0]
-	b.stats = Stats{}
-}
-
 // runRound forwards every queued packet one hop. All queues are swapped
 // out first, then every batch is forwarded with emit appending straight
 // into the destination queues, so no packet is forwarded twice in a round
 // and each is copied once per hop. Returns the next round's pending count.
 func (e *Engine) runRound() int {
-	buf := &e.buf
-	buf.reset()
 	for i, ns := range e.nodes {
 		batch := ns.queue
 		ns.queue = e.batches[i][:0]
@@ -318,10 +299,14 @@ func (e *Engine) runRound() int {
 	}
 	for i, ns := range e.nodes {
 		if batch := e.batches[i]; len(batch) > 0 {
-			e.forwardBatch(ns, batch, buf)
+			e.forwardBatch(ns, batch)
 		}
 	}
-	return buf.outN
+	pending := 0
+	for _, ns := range e.nodes {
+		pending += len(ns.queue)
+	}
+	return pending
 }
 
 // forwardBatch executes the forwarding decisions for one node's ingress
@@ -332,30 +317,30 @@ func (e *Engine) runRound() int {
 // sweep): a PoT run accumulates once and stamps the shared result, a
 // multicast run bulk-replicates per one-hot port. Only TTL expiry,
 // tracing, and path recording fall back to the per-packet path.
-func (e *Engine) forwardBatch(ns *nodeState, batch []Packet, buf *roundBuf) {
-	buf.rids = buf.rids[:0]
+func (e *Engine) forwardBatch(ns *nodeState, batch []Packet) {
+	e.rids = e.rids[:0]
 	for j := range batch {
-		buf.rids = append(buf.rids, batch[j].RouteID)
+		e.rids = append(e.rids, batch[j].RouteID)
 	}
-	buf.ports = ns.sw.OutputPortBatch(buf.rids, buf.ports[:0])
+	e.ports = ns.sw.OutputPortBatch(e.rids, e.ports[:0])
 	perPacket := e.cfg.Trace != nil || e.cfg.RecordPaths
 	j := 0
 	for j < len(batch) {
 		pkt := &batch[j]
 		if perPacket || pkt.TTL <= 0 {
-			e.forwardOne(ns, batch[j], buf.ports[j], buf)
+			e.forwardOne(ns, batch[j], e.ports[j])
 			j++
 			continue
 		}
 		// Maximal bulk run: alive packets agreeing on output residue and
 		// mode — and, for PoT, on the whole proof state, so one
 		// accumulation (and one egress verification) covers the run.
-		residue := buf.ports[j]
+		residue := e.ports[j]
 		pot := pkt.Mode == PoT && pkt.Proof != nil
 		k := j + 1
 		for k < len(batch) {
 			q := &batch[k]
-			if buf.ports[k] != residue || q.Mode != pkt.Mode || q.TTL <= 0 {
+			if e.ports[k] != residue || q.Mode != pkt.Mode || q.TTL <= 0 {
 				break
 			}
 			if pot && (q.Proof != pkt.Proof || !q.Nonce.Equal(pkt.Nonce) || !q.Acc.Equal(pkt.Acc)) {
@@ -366,13 +351,13 @@ func (e *Engine) forwardBatch(ns *nodeState, batch []Packet, buf *roundBuf) {
 		run := batch[j:k]
 		n := uint64(len(run))
 		ns.stats.Rx += n
-		buf.stats.Hops += n
+		e.stats.Hops += n
 		if pot {
 			acc, err := pkt.Proof.Accumulate(pkt.Acc, ns.name, pkt.Nonce)
 			if err != nil {
 				// Off the protected path: misrouted PoT packets.
 				ns.stats.PoTDrops += n
-				buf.stats.PoTDrops += n
+				e.stats.PoTDrops += n
 				j = k
 				continue
 			}
@@ -381,13 +366,13 @@ func (e *Engine) forwardBatch(ns *nodeState, batch []Packet, buf *roundBuf) {
 			}
 		}
 		if pkt.Mode != Multicast {
-			e.emitRun(ns, run, residue, buf)
+			e.emitRun(ns, run, residue)
 		} else {
 			// Multicast: the residue is a one-hot port set; replicate the
 			// whole run to each port.
 			for mask := residue; mask != 0; mask &= mask - 1 {
 				port := uint64(bits.TrailingZeros64(mask))
-				e.emitRun(ns, run, port, buf)
+				e.emitRun(ns, run, port)
 			}
 		}
 		j = k
@@ -396,34 +381,18 @@ func (e *Engine) forwardBatch(ns *nodeState, batch []Packet, buf *roundBuf) {
 
 // forwardOne executes one forwarding decision for pkt at node ns — the
 // per-packet path of forwardBatch, with the output port already reduced.
-func (e *Engine) forwardOne(ns *nodeState, pkt Packet, residue uint64, buf *roundBuf) {
-	ns.stats.Rx++
-	buf.stats.Hops++
-	if pkt.TTL <= 0 {
-		ns.stats.TTLDrops++
-		buf.stats.TTLDrops++
-		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: 0, Drop: DropTTL})
+func (e *Engine) forwardOne(ns *nodeState, pkt Packet, residue uint64) {
+	if !e.arrive(ns, &pkt) {
 		return
 	}
-	if pkt.Mode == PoT && pkt.Proof != nil {
-		acc, err := pkt.Proof.Accumulate(pkt.Acc, ns.name, pkt.Nonce)
-		if err != nil {
-			// Off the protected path: a misrouted PoT packet.
-			ns.stats.PoTDrops++
-			buf.stats.PoTDrops++
-			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: pkt.TTL, Drop: DropPoT})
-			return
-		}
-		pkt.Acc = acc
-	}
 	if pkt.Mode != Multicast {
-		e.emit(ns, pkt, residue, buf)
+		e.emit(ns, pkt, residue)
 		return
 	}
 	// Multicast: the residue is a one-hot port set; replicate to each port.
 	for mask := residue; mask != 0; mask &= mask - 1 {
 		port := uint64(bits.TrailingZeros64(mask))
-		e.emit(ns, pkt, port, buf)
+		e.emit(ns, pkt, port)
 	}
 }
 
@@ -433,11 +402,11 @@ func (e *Engine) forwardOne(ns *nodeState, pkt Packet, residue uint64, buf *roun
 // (TTL decrement, egress stamp) are fixed up in place. Rx/Hops accounting
 // happens once per run in forwardBatch, so multicast replication through
 // repeated emitRun calls counts each packet's arrival once.
-func (e *Engine) emitRun(ns *nodeState, run []Packet, port uint64, buf *roundBuf) {
+func (e *Engine) emitRun(ns *nodeState, run []Packet, port uint64) {
 	n := uint64(len(run))
 	if port == 0 || port >= uint64(len(ns.next)) || ns.next[port] == noLink {
 		ns.stats.BadPortDrops += n
-		buf.stats.BadPortDrops += n
+		e.stats.BadPortDrops += n
 		return
 	}
 	dst := ns.next[port]
@@ -450,7 +419,6 @@ func (e *Engine) emitRun(ns *nodeState, run []Packet, port uint64, buf *roundBuf
 			seg[i].TTL--
 		}
 		e.nodes[dst].queue = q
-		buf.outN += len(run)
 		return
 	}
 	// Delivery off-domain. A PoT run shares one (Acc, Nonce) — stamped by
@@ -458,36 +426,86 @@ func (e *Engine) emitRun(ns *nodeState, run []Packet, port uint64, buf *roundBuf
 	if run[0].Mode == PoT && run[0].Proof != nil {
 		if err := run[0].Proof.Verify(run[0].Acc, run[0].Nonce); err != nil {
 			ns.stats.PoTDrops += n
-			buf.stats.PoTDrops += n
+			e.stats.PoTDrops += n
 			return
 		}
-		buf.stats.PoTVerified += n
+		e.stats.PoTVerified += n
 	}
 	egress := ns.neighbor[port]
 	ns.stats.Tx += n
 	ns.stats.Egress[port] += n
 	ns.stats.Delivered += n
-	buf.stats.Delivered += n
+	e.stats.Delivered += n
 	for i := range run {
-		buf.stats.DeliveredBytes += uint64(run[i].Size)
+		e.stats.DeliveredBytes += uint64(run[i].Size)
 	}
-	d := append(buf.delivered, run...)
+	d := append(e.deliv, run...)
 	seg := d[len(d)-len(run):]
 	for i := range seg {
 		seg[i].TTL--
 		seg[i].Egress = egress
 	}
-	buf.delivered = d
+	e.deliv = d
 }
 
 // emit sends one copy of pkt out of ns through port: onward to another
-// switch, or delivered off-domain, or dropped on an invalid port.
-func (e *Engine) emit(ns *nodeState, pkt Packet, port uint64, buf *roundBuf) {
+// switch's queue, or delivered off-domain, or dropped on an invalid port.
+func (e *Engine) emit(ns *nodeState, pkt Packet, port uint64) {
+	if !e.depart(ns, &pkt, port) {
+		return
+	}
+	if dst := ns.next[port]; dst >= 0 {
+		e.nodes[dst].queue = append(e.nodes[dst].queue, pkt)
+		e.sent(ns, &pkt, port)
+		return
+	}
+	e.deliver(ns, &pkt, port)
+}
+
+// The per-packet forwarding rules below are the same in both link tiers;
+// the tiers differ only in how a departed packet reaches its next hop
+// (emit and emitFull) and when it arrives there (at once, or through a
+// link.FullPath in virtual time). forwardBatch and emitRun apply the same
+// rules run-wise on the fast tier's bulk path.
+
+// arrive applies the arrival rules to pkt at ns: it counts the forwarding
+// decision, drops the packet if its TTL has expired, and folds ns's
+// transit tag into a PoT packet's accumulator, dropping the packet when
+// ns is off its protected path. It reports whether pkt goes on to take an
+// output port.
+func (e *Engine) arrive(ns *nodeState, pkt *Packet) bool {
+	ns.stats.Rx++
+	e.stats.Hops++
+	if pkt.TTL <= 0 {
+		ns.stats.TTLDrops++
+		e.stats.TTLDrops++
+		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: 0, Drop: DropTTL})
+		return false
+	}
+	if pkt.Mode == PoT && pkt.Proof != nil {
+		acc, err := pkt.Proof.Accumulate(pkt.Acc, ns.name, pkt.Nonce)
+		if err != nil {
+			// Off the protected path: a misrouted PoT packet.
+			ns.stats.PoTDrops++
+			e.stats.PoTDrops++
+			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: pkt.TTL, Drop: DropPoT})
+			return false
+		}
+		pkt.Acc = acc
+	}
+	return true
+}
+
+// depart applies the departure rules to one copy of pkt leaving ns
+// through port: it drops the copy if the port names no attached link,
+// and otherwise decrements its TTL and, with Config.RecordPaths, appends
+// the visit. It reports whether the copy leaves.
+func (e *Engine) depart(ns *nodeState, pkt *Packet, port uint64) bool {
 	if port == 0 || port >= uint64(len(ns.next)) || ns.next[port] == noLink {
 		ns.stats.BadPortDrops++
-		buf.stats.BadPortDrops++
+		e.stats.BadPortDrops++
 		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port, TTL: pkt.TTL, Drop: DropBadPort})
-		return
+		return false
 	}
 	pkt.TTL--
 	if e.cfg.RecordPaths {
@@ -498,34 +516,40 @@ func (e *Engine) emit(ns *nodeState, pkt Packet, port uint64, buf *roundBuf) {
 		path[len(pkt.Path)] = Visit{Node: ns.name, Port: port}
 		pkt.Path = path
 	}
-	dst := ns.next[port]
-	if dst >= 0 {
-		ns.stats.Tx++
-		ns.stats.Egress[port]++
-		e.nodes[dst].queue = append(e.nodes[dst].queue, pkt)
-		buf.outN++
-		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
-			Next: ns.neighbor[port], TTL: pkt.TTL})
-		return
-	}
-	// Delivery off-domain.
+	return true
+}
+
+// sent counts pkt as sent from ns through port toward another switch and
+// traces the forwarding.
+func (e *Engine) sent(ns *nodeState, pkt *Packet, port uint64) {
+	ns.stats.Tx++
+	ns.stats.Egress[port]++
+	e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
+		Next: ns.neighbor[port], TTL: pkt.TTL})
+}
+
+// deliver applies the delivery rules to pkt leaving ns through port
+// toward a neighbor outside the domain: it stamps the egress, verifies a
+// PoT packet's proof (dropping it on failure), counts the delivery and
+// appends pkt to the delivered log.
+func (e *Engine) deliver(ns *nodeState, pkt *Packet, port uint64) {
 	pkt.Egress = ns.neighbor[port]
 	if pkt.Mode == PoT && pkt.Proof != nil {
 		if err := pkt.Proof.Verify(pkt.Acc, pkt.Nonce); err != nil {
 			ns.stats.PoTDrops++
-			buf.stats.PoTDrops++
+			e.stats.PoTDrops++
 			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
 				Next: pkt.Egress, TTL: pkt.TTL, Drop: DropPoT})
 			return
 		}
-		buf.stats.PoTVerified++
+		e.stats.PoTVerified++
 	}
 	ns.stats.Tx++
 	ns.stats.Egress[port]++
 	ns.stats.Delivered++
-	buf.stats.Delivered++
-	buf.stats.DeliveredBytes += uint64(pkt.Size)
-	buf.delivered = append(buf.delivered, pkt)
+	e.stats.Delivered++
+	e.stats.DeliveredBytes += uint64(pkt.Size)
+	e.deliv = append(e.deliv, *pkt)
 	e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
 		Next: pkt.Egress, TTL: pkt.TTL, Delivered: true})
 }

@@ -369,26 +369,11 @@ func (e *Engine) runFull(ctx context.Context) (Stats, error) {
 }
 
 // forwardFull executes one forwarding decision at node idx at virtual
-// time now — the full-mode mirror of forward, emitting through links
-// instead of round buffers.
+// time now: the full tier's counterpart of forwardOne, which reduces the
+// output port itself and sends each copy on a link with emitFull.
 func (e *Engine) forwardFull(idx int, ns *nodeState, pkt Packet, now link.Time) {
-	ns.stats.Rx++
-	e.stats.Hops++
-	if pkt.TTL <= 0 {
-		ns.stats.TTLDrops++
-		e.stats.TTLDrops++
-		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: 0, Drop: DropTTL})
+	if !e.arrive(ns, &pkt) {
 		return
-	}
-	if pkt.Mode == PoT && pkt.Proof != nil {
-		acc, err := pkt.Proof.Accumulate(pkt.Acc, ns.name, pkt.Nonce)
-		if err != nil {
-			ns.stats.PoTDrops++
-			e.stats.PoTDrops++
-			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, TTL: pkt.TTL, Drop: DropPoT})
-			return
-		}
-		pkt.Acc = acc
 	}
 	residue := ns.sw.OutputPortBytes(pkt.RouteID)
 	if pkt.Mode != Multicast {
@@ -407,18 +392,8 @@ func (e *Engine) forwardFull(idx int, ns *nodeState, pkt Packet, now link.Time) 
 // deferred to its arrival instant in arriveFull, which is what keeps
 // per-node counters identical to fast mode on loss-free links.
 func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now link.Time) {
-	if port == 0 || port >= uint64(len(ns.next)) || ns.next[port] == noLink {
-		ns.stats.BadPortDrops++
-		e.stats.BadPortDrops++
-		e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port, TTL: pkt.TTL, Drop: DropBadPort})
+	if !e.depart(ns, &pkt, port) {
 		return
-	}
-	pkt.TTL--
-	if e.cfg.RecordPaths {
-		path := make([]Visit, len(pkt.Path)+1)
-		copy(path, pkt.Path)
-		path[len(pkt.Path)] = Visit{Node: ns.name, Port: port}
-		pkt.Path = path
 	}
 	fs := e.full
 	li := fs.byPort[idx][port]
@@ -439,18 +414,15 @@ func (e *Engine) emitFull(idx int, ns *nodeState, pkt Packet, port uint64, now l
 		fs.inFlight++
 		fs.schedule(li)
 		if l.dst >= 0 {
-			ns.stats.Tx++
-			ns.stats.Egress[port]++
-			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: port,
-				Next: ns.neighbor[port], TTL: pkt.TTL})
+			e.sent(ns, &pkt, port)
 		}
 	}
 }
 
 // arriveFull processes one frame arrival: onward packets take their next
-// forwarding decision at the arrival instant; egress packets run delivery
-// accounting (and PoT verification) attributed to the sending switch,
-// exactly as the fast tier does at emit time.
+// forwarding decision at the arrival instant; egress packets are
+// delivered, attributed to the sending switch, exactly as the fast tier
+// delivers them at emit time.
 func (e *Engine) arriveFull(l *fullLink, f link.Frame) {
 	fs := e.full
 	slot := int32(f.Seq)
@@ -462,24 +434,5 @@ func (e *Engine) arriveFull(l *fullLink, f link.Frame) {
 		e.forwardFull(int(l.dst), e.nodes[l.dst], pkt, f.Arrival)
 		return
 	}
-	ns := e.nodes[l.src]
-	pkt.Egress = ns.neighbor[l.port]
-	if pkt.Mode == PoT && pkt.Proof != nil {
-		if err := pkt.Proof.Verify(pkt.Acc, pkt.Nonce); err != nil {
-			ns.stats.PoTDrops++
-			e.stats.PoTDrops++
-			e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: l.port,
-				Next: pkt.Egress, TTL: pkt.TTL, Drop: DropPoT})
-			return
-		}
-		e.stats.PoTVerified++
-	}
-	ns.stats.Tx++
-	ns.stats.Egress[l.port]++
-	ns.stats.Delivered++
-	e.stats.Delivered++
-	e.stats.DeliveredBytes += uint64(pkt.Size)
-	e.deliv = append(e.deliv, pkt)
-	e.trace(TraceEvent{PacketID: pkt.ID, Node: ns.name, Port: l.port,
-		Next: pkt.Egress, TTL: pkt.TTL, Delivered: true})
+	e.deliver(e.nodes[l.src], &pkt, l.port)
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -72,7 +73,7 @@ func TestFastFullParityRandomTopologies(t *testing.T) {
 		full := run(Config{LinkMode: LinkFull, Link: transparentLink(), Seed: seed})
 
 		fs, ls := fast.Stats(), full.Stats()
-		fs.Rounds, ls.Rounds = 0, 0 // rounds vs event batches: not comparable
+		fs.Rounds, ls.Rounds = 0, 0 // rounds vs passes: not comparable
 		if fs != ls {
 			t.Fatalf("seed %d: stats diverge:\nfast %+v\nfull %+v", seed, fs, ls)
 		}
@@ -95,39 +96,84 @@ func TestFastFullParityRandomTopologies(t *testing.T) {
 	}
 }
 
+// parityPacket is the tier-independent view of one delivered packet:
+// what it carried out, not when it arrived.
+type parityPacket struct {
+	ID     uint64
+	Egress string
+	TTL    int
+	Path   string
+	Acc    string
+}
+
 // TestFastFullParityMixedModes repeats the equivalence check with PoT and
 // multicast traffic on the Global P4 Lab, the modes with the trickiest
-// accounting (verification at egress, replication at hops).
+// accounting (verification at egress, replication at hops), plus one
+// TTL-expiring and one misrouted packet. Both tiers trace and record
+// paths: the sorted trace events and every delivered packet's ID,
+// egress, TTL, path and accumulator must match.
 func TestFastFullParityMixedModes(t *testing.T) {
-	run := func(cfg Config) *Engine {
-		e := labEngine(t, cfg)
-		uni, err := e.UnicastRoute(topo.TunnelPath1())
+	run := func(cfg Config) (*Engine, []TraceEvent) {
+		var events []TraceEvent
+		cfg.RecordPaths = true
+		cfg.Trace = func(ev TraceEvent) { events = append(events, ev) }
+		e := mixedModesEngine(t, cfg)
+		r, err := e.UnicastRoute(topo.TunnelPath3()) // 4 forwarding hops
 		if err != nil {
 			t.Fatal(err)
 		}
-		pot, err := e.PoTRoute(topo.TunnelPath2(), 7)
-		if err != nil {
+		expiring := r.NewPacket(100)
+		expiring.TTL = 2
+		if _, err := e.Inject(r.Inject, expiring); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []*Route{uni, pot} {
-			if err := e.InjectBatch(r.Inject, r.NewPackets(25, 500)); err != nil {
-				t.Fatal(err)
-			}
+		// The zero routeID reduces to port 0, which names no link.
+		if _, err := e.Inject(topo.MIA, Packet{Size: 10}); err != nil {
+			t.Fatal(err)
 		}
 		if _, err := e.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return e
+		sort.Slice(events, func(i, j int) bool {
+			return fmt.Sprintf("%+v", events[i]) < fmt.Sprintf("%+v", events[j])
+		})
+		return e, events
 	}
-	fast := run(Config{})
-	full := run(Config{LinkMode: LinkFull, Link: transparentLink()})
+	delivered := func(e *Engine) []parityPacket {
+		var out []parityPacket
+		for _, pkt := range e.Delivered() {
+			out = append(out, parityPacket{ID: pkt.ID, Egress: pkt.Egress, TTL: pkt.TTL,
+				Path: fmt.Sprint(pkt.Path), Acc: pkt.Acc.String()})
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].ID != out[j].ID {
+				return out[i].ID < out[j].ID
+			}
+			return out[i].Path < out[j].Path
+		})
+		return out
+	}
+	fast, fastEvents := run(Config{})
+	full, fullEvents := run(Config{LinkMode: LinkFull, Link: transparentLink()})
 	fs, ls := fast.Stats(), full.Stats()
+	if fs.Injected != 122 || fs.Delivered != 160 || fs.TTLDrops != 1 || fs.BadPortDrops != 1 || fs.PoTVerified != 40 {
+		t.Fatalf("fast stats %+v, want 122 injected, 160 delivered, 1 TTL drop, 1 bad-port drop, 40 PoT-verified", fs)
+	}
+	if want := fs.Hops + 40; uint64(len(fastEvents)) != want {
+		t.Fatalf("fast trace events %d, want Hops %d + 40 replicas = %d", len(fastEvents), fs.Hops, want)
+	}
 	fs.Rounds, ls.Rounds = 0, 0
 	if fs != ls {
 		t.Fatalf("stats diverge:\nfast %+v\nfull %+v", fs, ls)
 	}
 	if got, want := sortedIDs(full), sortedIDs(fast); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivered IDs diverge")
+	}
+	if !reflect.DeepEqual(fullEvents, fastEvents) {
+		t.Fatalf("sorted trace events diverge (%d full vs %d fast)", len(fullEvents), len(fastEvents))
+	}
+	if got, want := delivered(full), delivered(fast); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered packets diverge:\nfast %+v\nfull %+v", want, got)
 	}
 	// A PoT packet injected past the first protected hop must still be
 	// rejected at egress — in full mode the verdict lands at arrival time.

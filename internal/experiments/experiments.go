@@ -55,19 +55,9 @@ type MLComparisonResult struct {
 	Trace *dataset.Trace
 }
 
-// RunMLComparison regenerates Fig. 6: all eighteen regressors on both
-// paths of the trace.
-//
-// Deprecated: use RunMLComparisonContext (or the "mlcompare" entry in the
-// scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunMLComparison(cfg MLConfig) (*MLComparisonResult, error) {
-	return RunMLComparisonContext(context.Background(), cfg)
-}
-
-// RunMLComparisonContext is RunMLComparison under a context, checked
-// between the eighteen model fits.
+// RunMLComparisonContext regenerates Fig. 6: all eighteen regressors on
+// both paths of the trace. ctx is checked between the eighteen model
+// fits.
 func RunMLComparisonContext(ctx context.Context, cfg MLConfig) (*MLComparisonResult, error) {
 	tr := dataset.Generate(cfg.Dataset)
 	rows, err := ml.CompareAllContext(ctx, tr.WiFi.Values(), tr.LTE.Values(), cfg.Pipeline)
@@ -108,19 +98,9 @@ func lagImportance(model string, series []float64, cfg ml.PipelineConfig) ([]flo
 	return ml.PermutationImportance(r, X, y, 5, 1)
 }
 
-// RunObservedVsPredicted regenerates Fig. 7 (model = "RFR") or Fig. 8
-// (model = "GPR"): the named model's test-split predictions on both paths.
-//
-// Deprecated: use RunObservedVsPredictedContext (or the "mlpredict" entry
-// in the scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunObservedVsPredicted(model string, cfg MLConfig) (*ObservedVsPredicted, error) {
-	return RunObservedVsPredictedContext(context.Background(), model, cfg)
-}
-
-// RunObservedVsPredictedContext is RunObservedVsPredicted under a
-// context, checked between the two per-path fits.
+// RunObservedVsPredictedContext regenerates Fig. 7 (model = "RFR") or
+// Fig. 8 (model = "GPR"): the named model's test-split predictions on both
+// paths. ctx is checked between the two per-path fits.
 func RunObservedVsPredictedContext(ctx context.Context, model string, cfg MLConfig) (*ObservedVsPredicted, error) {
 	spec, err := ml.ModelByName(model)
 	if err != nil {

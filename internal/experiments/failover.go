@@ -28,19 +28,9 @@ type FailoverResult struct {
 	SteadyBefore, SteadyAfter float64
 }
 
-// RunFailureRecovery reproduces the failure-recovery scenario implied by
-// the paper's PolKA claims (Section I/VII): stateless cores make rerouting
-// around a dead link a pure edge operation.
-//
-// Deprecated: use RunFailureRecoveryContext (or the "failover" entry in
-// the scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunFailureRecovery(cfg TestbedConfig) (*FailoverResult, error) {
-	return RunFailureRecoveryContext(context.Background(), cfg)
-}
-
-// RunFailureRecoveryContext is RunFailureRecovery under a context.
+// RunFailureRecoveryContext reproduces the failure-recovery scenario
+// implied by the paper's PolKA claims (Section I/VII): stateless cores
+// make rerouting around a dead link a pure edge operation.
 func RunFailureRecoveryContext(ctx context.Context, cfg TestbedConfig) (*FailoverResult, error) {
 	cfg = cfg.withDefaults()
 	f, err := newFramework(cfg)

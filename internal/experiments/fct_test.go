@@ -1,17 +1,20 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestFCTBalancedBeatsStatic(t *testing.T) {
-	static, err := RunFCT(DefaultFCTConfig(PolicyStatic))
+	static, err := RunFCTContext(context.Background(), DefaultFCTConfig(PolicyStatic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	balanced, err := RunFCT(DefaultFCTConfig(PolicyReactive))
+	balanced, err := RunFCTContext(context.Background(), DefaultFCTConfig(PolicyReactive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := RunFCT(DefaultFCTConfig(PolicyRandom))
+	random, err := RunFCTContext(context.Background(), DefaultFCTConfig(PolicyRandom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +43,12 @@ func TestFCTBalancedBeatsStatic(t *testing.T) {
 func TestFCTValidation(t *testing.T) {
 	cfg := DefaultFCTConfig(PolicyReactive)
 	cfg.Transfers = 0
-	if _, err := RunFCT(cfg); err == nil {
+	if _, err := RunFCTContext(context.Background(), cfg); err == nil {
 		t.Error("zero transfers should fail")
 	}
 	cfg = DefaultFCTConfig(WorkloadPolicy("bogus"))
 	cfg.Transfers = 2
-	if _, err := RunFCT(cfg); err == nil {
+	if _, err := RunFCTContext(context.Background(), cfg); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }

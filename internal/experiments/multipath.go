@@ -40,22 +40,11 @@ type MultipathResult struct {
 	BranchMbps []float64
 }
 
-// RunMultipathAggregation builds the M-PolKA tree covering tunnels 2 and
-// 3 (MIA→{CHI,CAL}, CAL→CHI, CHI→AMS, AMS→host2), verifies the
-// data-plane port sets, then drives a multipath flow over both branches
-// in the emulator.
-//
-// Deprecated: use RunMultipathAggregationContext (or the "multipath"
-// entry in the scenario registry); this wrapper runs under
-// context.Background with default settings.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunMultipathAggregation() (*MultipathResult, error) {
-	return RunMultipathAggregationContext(context.Background(), DefaultMultipathConfig())
-}
-
-// RunMultipathAggregationContext is RunMultipathAggregation under a
-// context and explicit configuration.
+// RunMultipathAggregationContext builds the M-PolKA tree covering
+// tunnels 2 and 3 (MIA→{CHI,CAL}, CAL→CHI, CHI→AMS, AMS→host2), verifies
+// the data-plane port sets, then drives a multipath flow over both
+// branches in the emulator. DefaultMultipathConfig gives the paper's
+// settings.
 func RunMultipathAggregationContext(ctx context.Context, cfg MultipathConfig) (*MultipathResult, error) {
 	if cfg.SettleSec <= 0 {
 		cfg.SettleSec = 15

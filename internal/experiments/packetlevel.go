@@ -10,15 +10,15 @@ import (
 	"repro/internal/topo"
 )
 
-// The packet-level scenario complements the fluid testbed experiments: where
-// RunLatencyMigration and RunFlowAggregation emulate flows as rates, this
-// scenario pushes individual packets through the same Global P4 Lab with the
-// dataplane engine, exercising all three PolKA forwarding modes at once —
-// the three tunnels as unicast routes, an M-PolKA multicast tree fanning out
-// over SAO and CHI, and a proof-of-transit-protected route. Every route is
-// validated against polka.VerifyPath before a single packet is injected, so
-// a passing run certifies that the packet data plane and the algebraic
-// encoding agree.
+// The packet-level scenario complements the fluid testbed experiments:
+// where RunLatencyMigrationContext and RunFlowAggregationContext emulate
+// flows as rates, this scenario pushes individual packets through the same
+// Global P4 Lab with the dataplane engine, exercising all three PolKA
+// forwarding modes at once — the three tunnels as unicast routes, an
+// M-PolKA multicast tree fanning out over SAO and CHI, and a
+// proof-of-transit-protected route. Every route is validated against
+// polka.VerifyPath before a single packet is injected, so a passing run
+// certifies that the packet data plane and the algebraic encoding agree.
 
 // PacketLevelConfig tunes the packet-level forwarding scenario.
 type PacketLevelConfig struct {
@@ -95,19 +95,9 @@ type PacketLevelResult struct {
 	VirtualMs float64
 }
 
-// RunPacketLevel runs the packet-level forwarding scenario on the Global P4
-// Lab.
-//
-// Deprecated: use RunPacketLevelContext (or the "packetlevel" entry in
-// the scenario registry); this wrapper runs under context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunPacketLevel(cfg PacketLevelConfig) (*PacketLevelResult, error) {
-	return RunPacketLevelContext(context.Background(), cfg)
-}
-
-// RunPacketLevelContext is RunPacketLevel under a context: the engine's
-// forwarding rounds poll ctx, so even large batches abort promptly.
+// RunPacketLevelContext runs the packet-level forwarding scenario on the
+// Global P4 Lab. The engine's forwarding rounds poll ctx, so even large
+// batches abort promptly.
 func RunPacketLevelContext(ctx context.Context, cfg PacketLevelConfig) (*PacketLevelResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.FullLinks {

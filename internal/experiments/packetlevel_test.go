@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataplane"
 )
 
 func TestRunPacketLevelSerial(t *testing.T) {
-	res, err := RunPacketLevel(PacketLevelConfig{PacketsPerRoute: 100})
+	res, err := RunPacketLevelContext(context.Background(), PacketLevelConfig{PacketsPerRoute: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

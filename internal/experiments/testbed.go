@@ -99,24 +99,13 @@ type LatencyMigrationResult struct {
 	EdgeConfig string
 }
 
-// RunLatencyMigration reproduces testbed experiment 1 (Fig. 11): a flow is
-// pinned to the high-latency tunnel MIA-SAO-AMS for the first phase while
-// ICMP-like probes measure its RTT; the optimizer is then consulted with
-// the min-latency objective and the flow migrates — one PBR retarget — to
-// MIA-CHI-AMS, where probing continues.
-//
-// Deprecated: use RunLatencyMigrationContext (or the "latencymigration"
-// entry in the scenario registry); this wrapper runs under
-// context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunLatencyMigration(cfg TestbedConfig) (*LatencyMigrationResult, error) {
-	return RunLatencyMigrationContext(context.Background(), cfg)
-}
-
-// RunLatencyMigrationContext is RunLatencyMigration under a context: the
-// warmup, both measurement phases, and Hecate training all abort promptly
-// when ctx is canceled.
+// RunLatencyMigrationContext reproduces testbed experiment 1 (Fig. 11): a
+// flow is pinned to the high-latency tunnel MIA-SAO-AMS for the first
+// phase while ICMP-like probes measure its RTT; the optimizer is then
+// consulted with the min-latency objective and the flow migrates — one
+// PBR retarget — to MIA-CHI-AMS, where probing continues. The warmup,
+// both measurement phases, and Hecate training all abort promptly when
+// ctx is canceled.
 func RunLatencyMigrationContext(ctx context.Context, cfg TestbedConfig) (*LatencyMigrationResult, error) {
 	cfg = cfg.withDefaults()
 	f, err := newFramework(cfg)
@@ -233,22 +222,11 @@ type FlowAggregationResult struct {
 	EdgeConfig string
 }
 
-// RunFlowAggregation reproduces testbed experiment 2 (Fig. 12): three TCP
-// flows with distinct ToS values all start on tunnel 1 and split its 20
-// Mbps bottleneck; the optimizer is then consulted per flow with the
-// bandwidth objective, moving one flow to tunnel 2 and another to tunnel
-// 3, raising the aggregate throughput.
-//
-// Deprecated: use RunFlowAggregationContext (or the "flowaggregation"
-// entry in the scenario registry); this wrapper runs under
-// context.Background.
-//
-//lint:labvet-ignore deprecated pre-context wrapper; delegates to the Context variant, which is the cancellable entry point
-func RunFlowAggregation(cfg TestbedConfig) (*FlowAggregationResult, error) {
-	return RunFlowAggregationContext(context.Background(), cfg)
-}
-
-// RunFlowAggregationContext is RunFlowAggregation under a context.
+// RunFlowAggregationContext reproduces testbed experiment 2 (Fig. 12):
+// three TCP flows with distinct ToS values all start on tunnel 1 and
+// split its 20 Mbps bottleneck; the optimizer is then consulted per flow
+// with the bandwidth objective, moving one flow to tunnel 2 and another
+// to tunnel 3, raising the aggregate throughput.
 func RunFlowAggregationContext(ctx context.Context, cfg TestbedConfig) (*FlowAggregationResult, error) {
 	cfg = cfg.withDefaults()
 	f, err := newFramework(cfg)

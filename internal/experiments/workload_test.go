@@ -1,13 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // runPolicy is a helper running the soak under one policy.
 func runPolicy(t *testing.T, p WorkloadPolicy) *WorkloadResult {
 	t.Helper()
 	cfg := DefaultWorkloadConfig(p)
 	cfg.DurationSec = 300 // enough churn, keeps the suite quick
-	res, err := RunWorkload(cfg)
+	res, err := RunWorkloadContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +60,17 @@ func TestWorkloadSoakPolicies(t *testing.T) {
 func TestWorkloadValidation(t *testing.T) {
 	cfg := DefaultWorkloadConfig(PolicyReactive)
 	cfg.MeanInterarrivalSec = 0
-	if _, err := RunWorkload(cfg); err == nil {
+	if _, err := RunWorkloadContext(context.Background(), cfg); err == nil {
 		t.Error("zero interarrival should fail")
 	}
 	cfg = DefaultWorkloadConfig(PolicyReactive)
 	cfg.Demands = nil
-	if _, err := RunWorkload(cfg); err == nil {
+	if _, err := RunWorkloadContext(context.Background(), cfg); err == nil {
 		t.Error("no demands should fail")
 	}
 	cfg = DefaultWorkloadConfig(WorkloadPolicy("bogus"))
 	cfg.DurationSec = 30
-	if _, err := RunWorkload(cfg); err == nil {
+	if _, err := RunWorkloadContext(context.Background(), cfg); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }
